@@ -17,16 +17,17 @@
  *    microbenchmarks).
  *
  * For apples-to-apples robustness sweeps, LASER carries the same
- * RobustnessConfig as Tmi and Sheriff: when armed, an effectiveness
- * monitor un-repairs pages whose instrumentation tax dwarfs the
- * avoided-HITM benefit (the paper's histogram slowdown becomes a
- * recoverable event instead of a permanent tax), and a perf-health
- * pass stops repairing off persistently lossy sampling. Both default
- * *off*: stock LASER keeps its documented behaviour unless a sweep
- * arms them via ExperimentConfig::monitor. A PTSB watchdog does not
- * apply -- LASER's store buffer drains at every sync by
- * construction, so it cannot livelock the way an uncommitted PTSB
- * can.
+ * RobustnessConfig and shared ladder (runtime/ladder.hh) as Tmi and
+ * Sheriff: when armed, an effectiveness monitor un-repairs pages
+ * whose instrumentation tax dwarfs the avoided-HITM benefit (the
+ * paper's histogram slowdown becomes a recoverable event instead of
+ * a permanent tax), a perf-health pass stops repairing off
+ * persistently lossy sampling, and RecoverUp climbs back from
+ * detect-only after clean windows. The monitor defaults *off*: stock
+ * LASER keeps its documented behaviour unless a sweep arms it via
+ * ExperimentConfig::monitor. A PTSB watchdog does not apply --
+ * LASER's store buffer drains at every sync by construction, so it
+ * cannot livelock the way an uncommitted PTSB can.
  */
 
 #ifndef TMI_BASELINES_LASER_HH
@@ -36,7 +37,7 @@
 
 #include "core/machine.hh"
 #include "detect/detector.hh"
-#include "runtime/robustness.hh"
+#include "runtime/ladder.hh"
 
 namespace tmi
 {
@@ -90,24 +91,9 @@ class LaserRuntime : public RuntimeHooks
 
     Detector &detector() { return _detector; }
 
-    /** @name Robustness queries (parity with TmiRuntime) */
-    /// @{
-    /** "detect-and-repair", or "detect-only" once the monitor gave
-     *  up on store-buffer repair for this run. */
-    const char *rungName() const
-    {
-        return _repairAllowed ? "detect-and-repair" : "detect-only";
-    }
-
-    /** Times repair was rolled back (instrumentation removed). */
-    unsigned unrepairs() const { return _unrepairs; }
-
-    /** Ladder transitions taken (at most 1: repair -> detect-only). */
-    std::uint64_t ladderDrops() const
-    {
-        return static_cast<std::uint64_t>(_statLadderDrops.value());
-    }
-    /// @}
+    /** The shared ladder (detect-and-repair -> detect-only): state
+     *  and counters, in parity with TmiRuntime. */
+    const Ladder &ladder() const { return _ladder; }
 
     /** Register stats under @p group. */
     void regStats(stats::StatGroup &group);
@@ -116,47 +102,25 @@ class LaserRuntime : public RuntimeHooks
     void detectionLoop(ThreadApi &api);
     std::uint64_t syncOpsSoFar() const;
 
-    /** Un-repair when the DBI tax dwarfs the avoided-HITM benefit. */
-    void updateEffectiveness(Cycles window);
-
-    /** Stop repairing off persistently lossy perf sampling. */
-    void checkPerfHealth(Cycles window);
+    /** The ladder's health checks for one analysis window, each
+     *  followed by LASER's rung action when it trips. */
+    void checkHealth(Cycles window);
 
     /** Remove the instrumentation from every repaired page. */
     void unrepair(const char *reason);
 
-    /** One-way drop to detect-only with logging. */
-    void degradeToDetectOnly(const char *reason);
-
     Machine &_m;
     LaserConfig _cfg;
-    /** The machine's recorder, or null when tracing is off. */
-    obs::TraceRecorder *_trace;
+    Ladder _ladder;
     Detector _detector;
     std::unordered_set<VPage> _repairedPages;
     bool _declined = false;
     std::uint64_t _rmwAtomics = 0;
-
-    bool _repairAllowed = true;
-
-    // Effectiveness-monitor state (mirrors TmiRuntime).
-    double _preRepairHitmRate = 0; //!< EMA while un-repaired
-    std::uint64_t _lastHitm = 0;
-    Cycles _windowOverhead = 0; //!< DBI taxes + drains
-    unsigned _regressStreak = 0;
-    unsigned _windowsSinceRepair = 0;
-    unsigned _windowsSinceUnrepair = 0;
-    unsigned _unrepairs = 0;
-
-    // Perf-health state.
-    std::uint64_t _lastLost = 0;
-    std::uint64_t _lastEmitted = 0;
-    unsigned _lossStreak = 0;
+    /** DBI taxes + drains this window (effectiveness). */
+    Cycles _windowOverhead = 0;
 
     stats::Scalar _statBufferedAccesses;
     stats::Scalar _statDrains;
-    stats::Scalar _statUnrepairs;
-    stats::Scalar _statLadderDrops;
 };
 
 } // namespace tmi

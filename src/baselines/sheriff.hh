@@ -23,26 +23,24 @@
  * than sheriff-protect.
  *
  * For apples-to-apples robustness sweeps against Tmi, Sheriff carries
- * the same RobustnessConfig and its own degradation ladder:
- * full-isolation -> partial-isolation (a clone failure exhausted its
- * retry budget, so some threads run plain) -> dissolved (the watchdog
- * or effectiveness monitor gave up on isolation entirely). The clone
- * retry loop is always armed; the watchdog and monitor default *off*
- * because stock Sheriff has no such machinery -- its documented
- * failure modes must stay emergent unless a sweep arms them via
- * ExperimentConfig::watchdog / ::monitor.
+ * the same RobustnessConfig and the shared ladder (runtime/ladder.hh)
+ * with its own rungs: full-isolation -> partial-isolation (a clone
+ * failure exhausted its retry budget, so some threads run plain) ->
+ * dissolved (the watchdog or effectiveness monitor gave up on
+ * isolation entirely). Both drops are final -- a thread is isolated
+ * only at birth -- so RecoverUp does not apply and Config::validate()
+ * rejects it. The clone retry loop is always armed; the watchdog and
+ * monitor default *off* because stock Sheriff has no such machinery
+ * -- its documented failure modes must stay emergent unless a sweep
+ * arms them via ExperimentConfig::watchdog / ::monitor.
  */
 
 #ifndef TMI_BASELINES_SHERIFF_HH
 #define TMI_BASELINES_SHERIFF_HH
 
-#include <memory>
-#include <unordered_map>
-
 #include "core/machine.hh"
 #include "ptsb/ptsb.hh"
-#include "runtime/invariants.hh"
-#include "runtime/robustness.hh"
+#include "runtime/ladder.hh"
 
 namespace tmi
 {
@@ -54,9 +52,6 @@ enum class SheriffRung
     PartialIsolation, //!< some threads could not be isolated
     FullIsolation,    //!< every thread in its own process
 };
-
-/** Human-readable rung name for logs and CSVs. */
-const char *sheriffRungName(SheriffRung rung);
 
 /** Sheriff configuration. */
 struct SheriffConfig
@@ -103,21 +98,20 @@ class SheriffRuntime : public RuntimeHooks
     void onHeapGrow(VPage first, std::uint64_t n) override;
 
     /** Total PTSB commits across all threads. */
-    std::uint64_t totalCommits() const;
+    std::uint64_t totalCommits() const { return sumCommits(_ptsbs); }
 
     /** Racy-merge bytes across all PTSBs: Sheriff has no code-centric
      *  consistency, so atomics-based programs rack these up. */
-    std::uint64_t totalConflictBytes() const;
+    std::uint64_t totalConflictBytes() const
+    {
+        return sumConflictBytes(_ptsbs);
+    }
 
     /** @name Robustness queries (parity with TmiRuntime) */
     /// @{
-    SheriffRung rung() const { return _rung; }
-    const char *rungName() const { return sheriffRungName(_rung); }
-
-    /** Aborted address-space clone attempts. */
-    std::uint64_t t2pAborts() const
+    SheriffRung rung() const
     {
-        return static_cast<std::uint64_t>(_statT2pAborts.value());
+        return static_cast<SheriffRung>(_ladder.rung());
     }
 
     /** Times isolation was torn down after engaging (0 or 1: a
@@ -127,23 +121,8 @@ class SheriffRuntime : public RuntimeHooks
         return static_cast<std::uint64_t>(_statUnrepairs.value());
     }
 
-    /** Watchdog force-flush events. */
-    unsigned watchdogFires() const { return _watchdogFires; }
-
-    /** COW faults degraded to plain shared writes. */
-    std::uint64_t cowFallbacks() const
-    {
-        return static_cast<std::uint64_t>(_statCowFallbacks.value());
-    }
-
-    /** Ladder transitions taken. */
-    std::uint64_t ladderDrops() const
-    {
-        return static_cast<std::uint64_t>(_statLadderDrops.value());
-    }
-
-    /** Ladder-transition invariant probe (chaos oracle). */
-    const InvariantProbe &invariants() const { return _invariants; }
+    /** The shared ladder: state and counters (parity with Tmi). */
+    const Ladder &ladder() const { return _ladder; }
     /// @}
 
     /** Register stats under @p group. */
@@ -153,14 +132,6 @@ class SheriffRuntime : public RuntimeHooks
     void commitThread(ThreadId tid);
     void supervisionLoop(ThreadApi &api);
 
-    /** Force-commit PTSBs stuck with old dirty twins (the same
-     *  livelock Tmi's watchdog breaks, e.g. cholesky's flag spin). */
-    void runWatchdog(Cycles window);
-
-    /** Dissolve isolation when its measured overhead dwarfs the
-     *  coherence traffic it avoids. */
-    void updateEffectiveness(Cycles window);
-
     /** Tear every PTSB down and fall to the Dissolved rung. */
     void dissolve(const char *reason);
 
@@ -168,40 +139,26 @@ class SheriffRuntime : public RuntimeHooks
     void finishDissolve(const char *reason);
 
     /** One-way ladder transition with logging. */
-    void degradeTo(SheriffRung rung, const char *reason);
+    void degradeTo(SheriffRung rung, const char *reason)
+    {
+        _ladder.drop(static_cast<int>(rung), reason);
+    }
 
     Machine &_m;
     SheriffConfig _cfg;
-    InvariantProbe _invariants;
+    Ladder _ladder;
     /** The machine's recorder, or null when tracing is off. */
     obs::TraceRecorder *_trace;
-    std::unordered_map<ProcessId, std::unique_ptr<Ptsb>> _ptsbs;
-
-    SheriffRung _rung = SheriffRung::FullIsolation;
+    PtsbMap _ptsbs;
 
     // Effectiveness-monitor state: per-window isolation overhead
     // (commit + COW costs) against a merged-lines benefit proxy.
     Cycles _windowOverhead = 0;
     std::uint64_t _windowLinesMerged = 0;
-    unsigned _windows = 0;
-    unsigned _regressStreak = 0;
-
-    // Watchdog state.
-    struct PtsbWatch
-    {
-        std::uint64_t lastCommits = 0;
-        Cycles stall = 0;
-    };
-    std::unordered_map<ProcessId, PtsbWatch> _watch;
-    unsigned _watchdogFires = 0;
 
     stats::Scalar _statConversions;
     stats::Scalar _statCommits;
-    stats::Scalar _statT2pAborts;
     stats::Scalar _statUnrepairs;
-    stats::Scalar _statWatchdogFlushes;
-    stats::Scalar _statLadderDrops;
-    stats::Scalar _statCowFallbacks;
 };
 
 } // namespace tmi

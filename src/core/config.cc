@@ -15,6 +15,15 @@ Config::validate() const
     validateConfig(run, errors, "run");
     validateConfig(machine, errors, "machine");
     validateConfig(tmi, errors, "tmi");
+    if (tmi.robust.recoverUpWindows != 0 &&
+        (run.treatment == Treatment::SheriffDetect ||
+         run.treatment == Treatment::SheriffProtect)) {
+        errors.push_back(
+            {"tmi.robust.recoverUpWindows",
+             "must be 0 for sheriff-*: a Sheriff dissolve is final "
+             "(its PTSBs are torn down and threads created since run "
+             "plain), so there is no rung to climb back to"});
+    }
     return errors;
 }
 

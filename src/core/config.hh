@@ -47,7 +47,8 @@ struct Config
     ExperimentConfig run;
     /** Deep machine template (cache/TLB/sync/PEBS internals). */
     MachineConfig machine;
-    /** Deep runtime template, used by the Tmi treatments. */
+    /** Deep runtime template, used by the Tmi treatments; its
+     *  robust knobs also drive sheriff-*, laser and htm-elide. */
     TmiConfig tmi;
 
     bool operator==(const Config &) const = default;

@@ -164,6 +164,21 @@ isSheriffTreatment(Treatment t)
            t == Treatment::SheriffProtect;
 }
 
+/** The robustness columns every runtime on the shared ladder fills
+ *  the same way. */
+void
+harvestLadder(RunResult &res, const Ladder &ladder)
+{
+    res.ladderRung = ladder.rungName();
+    res.t2pAborts = ladder.t2pAborts();
+    res.unrepairs = ladder.unrepairs();
+    res.watchdogFlushes = ladder.watchdogFires();
+    res.cowFallbacks = ladder.cowFallbacks();
+    res.ladderDrops = ladder.drops();
+    res.ladderRecovers = ladder.recovers();
+    res.invariantViolations = ladder.invariantViolations();
+}
+
 } // namespace
 
 void
@@ -423,6 +438,7 @@ runCell(const Config &full,
       case Treatment::SheriffProtect: {
         SheriffConfig sc;
         sc.detectMode = config.treatment == Treatment::SheriffDetect;
+        sc.robust = full.tmi.robust;
         // Stock Sheriff has no self-healing, so -1 keeps the watchdog
         // and monitor off and lets its documented failure modes
         // unfold; robustness sweeps arm them explicitly for
@@ -439,6 +455,7 @@ runCell(const Config &full,
       }
       case Treatment::Laser: {
         LaserConfig lc;
+        lc.robust = full.tmi.robust;
         lc.detector.repairThreshold = config.repairThreshold;
         lc.analysisInterval = config.analysisInterval;
         // Same convention as Sheriff: the effectiveness/perf-health
@@ -510,33 +527,19 @@ runCell(const Config &full,
         res.overheadBytes = tmi->overheadBytes();
         res.fsEventsEstimated = tmi->detector().fsEventsEstimated();
         res.tsEventsEstimated = tmi->detector().tsEventsEstimated();
-        res.ladderRung = tmiModeName(tmi->rung());
-        res.t2pAborts = tmi->t2pAborts();
-        res.unrepairs = tmi->unrepairs();
-        res.watchdogFlushes = tmi->watchdogFires();
-        res.cowFallbacks = tmi->cowFallbacks();
-        res.ladderDrops = tmi->ladderDrops();
-        res.ladderRecovers = tmi->ladderRecovers();
-        res.invariantViolations = tmi->invariants().violations();
+        harvestLadder(res, tmi->ladder());
     } else if (sheriff) {
         res.repairActive = true;
         res.commits = sheriff->totalCommits();
         res.conflictBytes = sheriff->totalConflictBytes();
         res.overheadBytes = machine.internalBytes();
-        res.ladderRung = sheriff->rungName();
-        res.t2pAborts = sheriff->t2pAborts();
-        res.unrepairs = sheriff->unrepairs();
-        res.watchdogFlushes = sheriff->watchdogFires();
-        res.cowFallbacks = sheriff->cowFallbacks();
-        res.ladderDrops = sheriff->ladderDrops();
-        res.invariantViolations = sheriff->invariants().violations();
+        harvestLadder(res, sheriff->ladder());
+        res.unrepairs = sheriff->unrepairs(); // dissolves, not budget
     } else if (laser) {
         res.repairActive = laser->repairActive();
         res.fsEventsEstimated = laser->detector().fsEventsEstimated();
         res.tsEventsEstimated = laser->detector().tsEventsEstimated();
-        res.ladderRung = laser->rungName();
-        res.unrepairs = laser->unrepairs();
-        res.ladderDrops = laser->ladderDrops();
+        harvestLadder(res, laser->ladder());
     } else if (htm) {
         res.repairActive = htm->elisionActive();
         res.txnCommits = machine.txnCommitCount();

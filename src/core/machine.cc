@@ -220,6 +220,15 @@ Machine::Machine(const MachineConfig &config)
     _alloc->setTrace(_trace.get());
 }
 
+DetectorConfig
+Machine::detectorConfig(DetectorConfig dc) const
+{
+    dc.samplePeriod = _config.perf.period;
+    dc.cyclesPerSecond = _config.cyclesPerSecond;
+    dc.pageShift = _config.pageShift;
+    return dc;
+}
+
 // ---------------------------------------------------------------------
 // Threads
 

@@ -30,6 +30,7 @@
 #include "common/rng.hh"
 #include "core/access_path.hh"
 #include "detect/address_map.hh"
+#include "detect/detector.hh"
 #include "fault/fault_injector.hh"
 #include "isa/instructions.hh"
 #include "mem/mmu.hh"
@@ -370,6 +371,10 @@ class Machine : public MemoryProvider
     explicit Machine(const MachineConfig &config = {});
 
     const MachineConfig &config() const { return _config; }
+
+    /** @p dc with this machine's sample period, clock rate and page
+     *  size, as a runtime's detector must assume them. */
+    DetectorConfig detectorConfig(DetectorConfig dc) const;
 
     /** @name Component access */
     /// @{

@@ -202,4 +202,31 @@ Ptsb::regStats(stats::StatGroup &group)
                     "commits with injected pathological cost");
 }
 
+std::uint64_t
+sumCommits(const PtsbMap &ptsbs)
+{
+    std::uint64_t n = 0;
+    for (const auto &[pid, ptsb] : ptsbs)
+        n += ptsb->commits();
+    return n;
+}
+
+std::uint64_t
+sumConflictBytes(const PtsbMap &ptsbs)
+{
+    std::uint64_t n = 0;
+    for (const auto &[pid, ptsb] : ptsbs)
+        n += ptsb->conflictBytes();
+    return n;
+}
+
+Cycles
+dissolveAll(PtsbMap &ptsbs)
+{
+    Cycles cost = 0;
+    for (auto &[pid, ptsb] : ptsbs)
+        cost += ptsb->dissolve();
+    return cost;
+}
+
 } // namespace tmi

@@ -20,6 +20,7 @@
 #ifndef TMI_PTSB_PTSB_HH
 #define TMI_PTSB_PTSB_HH
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -180,6 +181,18 @@ class Ptsb
     stats::Scalar _statTwinAllocFails;
     stats::Scalar _statOversizeCommits;
 };
+
+/** One PTSB per converted process, as Tmi and Sheriff keep them. */
+using PtsbMap = std::unordered_map<ProcessId, std::unique_ptr<Ptsb>>;
+
+/** Commits across every PTSB in @p ptsbs. */
+std::uint64_t sumCommits(const PtsbMap &ptsbs);
+
+/** Racy-merge bytes across every PTSB in @p ptsbs. */
+std::uint64_t sumConflictBytes(const PtsbMap &ptsbs);
+
+/** Dissolve every PTSB in @p ptsbs; @return the total cycle cost. */
+Cycles dissolveAll(PtsbMap &ptsbs);
 
 } // namespace tmi
 

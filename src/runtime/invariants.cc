@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "core/machine.hh"
-#include "ptsb/ptsb.hh"
 
 namespace tmi
 {
@@ -15,12 +14,14 @@ InvariantProbe::violation(const char *who, const char *what)
 }
 
 void
-InvariantProbe::afterDissolve(const char *who, const Ptsb &ptsb)
+InvariantProbe::afterDissolve(const char *who, const PtsbMap &ptsbs)
 {
-    if (ptsb.dirtyPages() != 0)
-        violation(who, "dissolved PTSB holds uncommitted twins");
-    if (ptsb.protectedPages() != 0)
-        violation(who, "dissolved PTSB still protects pages");
+    for (const auto &[pid, ptsb] : ptsbs) {
+        if (ptsb->dirtyPages() != 0)
+            violation(who, "dissolved PTSB holds uncommitted twins");
+        if (ptsb->protectedPages() != 0)
+            violation(who, "dissolved PTSB still protects pages");
+    }
 }
 
 void

@@ -2,12 +2,11 @@
  * @file
  * Self-healing policy knobs shared by every supervising runtime.
  *
- * Tmi introduced the degradation ladder (tmi_runtime.hh); the
- * Sheriff and LASER baselines reuse the same policy structure so
- * robustness sweeps compare apples to apples: one config vocabulary,
- * one set of thresholds, three runtimes interpreting them on their
- * own machinery (Tmi's PTSB + detector, Sheriff's always-on
- * isolation, LASER's software store buffer).
+ * The driver hands Config::tmi.robust to every runtime. Tmi, Sheriff
+ * and LASER read it through one degradation ladder
+ * (runtime/ladder.hh), so robustness sweeps compare apples to apples;
+ * only the rung actions are each runtime's own. htm-elide reads the
+ * watchdog and RecoverUp knobs on its per-lock-site storm ladder.
  */
 
 #ifndef TMI_RUNTIME_ROBUSTNESS_HH

@@ -24,7 +24,9 @@
  * failing repeatedly, a repair that costs more than it saves, a
  * PTSB-induced livelock, or persistently unreliable perf sampling.
  * Every rung keeps the application correct; each drop only sheds an
- * optimization. Transitions are logged with warn() and counted.
+ * optimization. The ladder mechanics and health checks are shared
+ * with Sheriff and LASER (runtime/ladder.hh); the rung actions are
+ * Tmi's own.
  */
 
 #ifndef TMI_RUNTIME_TMI_RUNTIME_HH
@@ -38,8 +40,7 @@
 #include "core/machine.hh"
 #include "detect/detector.hh"
 #include "ptsb/ptsb.hh"
-#include "runtime/invariants.hh"
-#include "runtime/robustness.hh"
+#include "runtime/ladder.hh"
 
 namespace tmi
 {
@@ -51,9 +52,6 @@ enum class TmiMode
     DetectOnly,
     DetectAndRepair,
 };
-
-/** Human-readable rung name ("alloc-only", ..., for logs and CSVs). */
-const char *tmiModeName(TmiMode mode);
 
 /** Tmi runtime configuration. */
 struct TmiConfig
@@ -139,11 +137,14 @@ class TmiRuntime : public RuntimeHooks
     Cycles t2pCycles() const { return _t2pTotal; }
 
     /** Total PTSB commits across all converted threads. */
-    std::uint64_t totalCommits() const;
+    std::uint64_t totalCommits() const { return sumCommits(_ptsbs); }
 
     /** Racy-merge bytes observed across all PTSBs (should be zero
      *  for data-race-free programs, Lemma 3.1). */
-    std::uint64_t totalConflictBytes() const;
+    std::uint64_t totalConflictBytes() const
+    {
+        return sumConflictBytes(_ptsbs);
+    }
 
     /** Pages currently under targeted protection. */
     std::size_t protectedPageCount() const
@@ -165,42 +166,11 @@ class TmiRuntime : public RuntimeHooks
     /** @name Robustness queries */
     /// @{
     /** Current degradation-ladder rung (== cfg.mode until a drop). */
-    TmiMode rung() const { return _rung; }
+    TmiMode rung() const { return static_cast<TmiMode>(_ladder.rung()); }
 
-    /** Aborted-and-rolled-back T2P transactions. */
-    std::uint64_t t2pAborts() const
-    {
-        return static_cast<std::uint64_t>(_statT2pAborts.value());
-    }
-
-    /** Times repair was rolled back (dissolved) after engaging. */
-    unsigned unrepairs() const { return _unrepairs; }
-
-    /** Watchdog force-flush events. */
-    unsigned watchdogFires() const { return _watchdogFires; }
-
-    /** COW faults degraded to plain shared writes (page lost its
-     *  isolation but stayed correct). */
-    std::uint64_t cowFallbacks() const
-    {
-        return static_cast<std::uint64_t>(_statCowFallbacks.value());
-    }
-
-    /** Ladder transitions taken. */
-    std::uint64_t ladderDrops() const
-    {
-        return static_cast<std::uint64_t>(_statLadderDrops.value());
-    }
-
-    /** Rungs climbed back by the RecoverUp policy. */
-    std::uint64_t ladderRecovers() const
-    {
-        return static_cast<std::uint64_t>(
-            _statLadderRecovers.value());
-    }
-
-    /** Ladder-transition invariant probe (chaos oracle). */
-    const InvariantProbe &invariants() const { return _invariants; }
+    /** Ladder state and counters: T2P aborts, un-repairs, watchdog
+     *  fires, COW fallbacks, drops, recoveries, probe violations. */
+    const Ladder &ladder() const { return _ladder; }
     /// @}
 
     /** Register stats under @p group. */
@@ -244,80 +214,38 @@ class TmiRuntime : public RuntimeHooks
      */
     Cycles unrepair(const char *reason);
 
-    /** One-way ladder transition with logging (no-op if already at
-     *  or below @p mode). */
-    void degradeTo(TmiMode mode, const char *reason);
+    /** One-way ladder transition (no-op if already at or below
+     *  @p mode). */
+    void degradeTo(TmiMode mode, const char *reason)
+    {
+        _ladder.drop(static_cast<int>(mode), reason);
+    }
 
-    /** Drop a rung due to persistently lossy perf sampling. */
-    void checkPerfHealth(Cycles window);
-
-    /** Un-repair when measured overhead dwarfs the HITM benefit. */
-    void updateEffectiveness(Cycles window);
-
-    /** Force-commit PTSBs stuck with old dirty twins (livelock). */
-    void runWatchdog(Cycles window);
-
-    /**
-     * RecoverUp: after robust.recoverUpWindows consecutive clean
-     * windows on a degraded rung, climb one rung back toward the
-     * configured mode and reset the failure budgets. Called once per
-     * analysis window, after all the health checks have judged it.
-     */
-    void maybeRecoverUp();
+    /** The ladder's health checks for one analysis window, each
+     *  followed by Tmi's rung action when it trips. */
+    void checkHealth(Cycles window);
 
     Machine &_m;
     TmiConfig _cfg;
-    InvariantProbe _invariants;
+    Ladder _ladder;
     /** The machine's recorder, or null when tracing is off. */
     obs::TraceRecorder *_trace;
     CodeCentricConsistency _ccc;
     Detector _detector;
 
-    std::unordered_map<ProcessId, std::unique_ptr<Ptsb>> _ptsbs;
+    PtsbMap _ptsbs;
     std::unordered_set<VPage> _protectedPages;
     bool _converted = false;
     Cycles _repairStart = 0;
     Cycles _t2pTotal = 0;
 
-    TmiMode _rung;
-
-    // Effectiveness-monitor state.
-    double _preRepairHitmRate = 0;  //!< EMA while un-repaired
-    std::uint64_t _lastHitm = 0;
-    Cycles _windowOverhead = 0;     //!< commits + twin copies
-    unsigned _regressStreak = 0;
-    unsigned _windowsSinceRepair = 0;
-    unsigned _windowsSinceUnrepair = 0;
-    unsigned _unrepairs = 0;
-
-    // Perf-health state.
-    std::uint64_t _lastLost = 0;
-    std::uint64_t _lastEmitted = 0;
-    unsigned _lossStreak = 0;
-
-    // Watchdog state.
-    struct PtsbWatch
-    {
-        std::uint64_t lastCommits = 0;
-        Cycles stall = 0;
-    };
-    std::unordered_map<ProcessId, PtsbWatch> _watch;
-    unsigned _watchdogFires = 0;
-
-    // RecoverUp state.
-    unsigned _cleanWindows = 0; //!< consecutive clean windows
-    bool _dirtyWindow = false;  //!< health event hit this window
+    /** Commit + twin-copy cycles this window (effectiveness). */
+    Cycles _windowOverhead = 0;
 
     stats::Scalar _statConversions;
     stats::Scalar _statPageProtections;
     stats::Scalar _statSyncRedirects;
     stats::Scalar _statFlushCommits;
-    stats::Scalar _statT2pAborts;
-    stats::Scalar _statUnrepairs;
-    stats::Scalar _statWatchdogFlushes;
-    stats::Scalar _statLadderDrops;
-    stats::Scalar _statLadderRecovers;
-    stats::Scalar _statCowFallbacks;
 };
 
 } // namespace tmi

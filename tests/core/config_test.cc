@@ -65,6 +65,28 @@ TEST(ConfigValidate, BadFaultSpecIsNamedPerPoint)
               std::string::npos);
 }
 
+TEST(ConfigValidate, SheriffRejectsRecoverUp)
+{
+    // A Sheriff dissolve is final, so a recover-up knob it could
+    // never act on is an error, not a silently ignored setting.
+    Config cfg;
+    cfg.run.workload = "histogramfs";
+    cfg.tmi.robust.recoverUpWindows = 2;
+    for (Treatment t :
+         {Treatment::SheriffProtect, Treatment::SheriffDetect}) {
+        cfg.run.treatment = t;
+        auto errors = cfg.validate();
+        ASSERT_EQ(errors.size(), 1u) << treatmentName(t);
+        EXPECT_EQ(errors[0].field, "tmi.robust.recoverUpWindows");
+    }
+    // The runtimes that can climb back accept it.
+    for (Treatment t : {Treatment::TmiProtect, Treatment::Laser,
+                        Treatment::HtmElide}) {
+        cfg.run.treatment = t;
+        EXPECT_TRUE(cfg.validate().empty()) << treatmentName(t);
+    }
+}
+
 TEST(Builder, CheckReportsWithoutDying)
 {
     auto errors =

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
+#include "core/config.hh"
 
 namespace tmi
 {
@@ -153,6 +153,29 @@ TEST(SheriffLadder, MonitorDissolvesUnprofitableIsolation)
     EXPECT_TRUE(res.compatible);
     EXPECT_EQ(res.ladderRung, "dissolved");
     EXPECT_GE(res.unrepairs, 1u);
+}
+
+TEST(LaserLadder, RecoverUpClimbsBackToDetectAndRepair)
+{
+    // A stretch of ring overflows makes perf sampling unreliable, so
+    // the armed monitor drops LASER to detect-only. The recover-up
+    // knob arrives through Config::tmi.robust -- the path
+    // tmi-chaos --recover-up and ExperimentBuilder::robustness() take
+    // -- and once the overflows stop, clean windows climb back.
+    Config cfg;
+    cfg.run = cfgFor("lu-ncb", Treatment::Laser);
+    cfg.run.monitor = 1;
+    FaultSpec overflow = FaultSpec::always();
+    overflow.windowEnd = 3'000'000;
+    cfg.run.faults.emplace_back(faultpoint::perfRingOverflow, overflow);
+    cfg.tmi.robust.recoverUpWindows = 2;
+    RunResult res = runExperiment(cfg);
+    EXPECT_TRUE(res.compatible);
+    EXPECT_EQ(res.ladderDrops, 1u);
+    EXPECT_EQ(res.ladderRecovers, 1u);
+    EXPECT_EQ(res.ladderRung, "detect-and-repair");
+    EXPECT_TRUE(res.repairActive);
+    EXPECT_EQ(res.invariantViolations, 0u);
 }
 
 TEST(Table1, TmiOverheadLowWithoutContention)

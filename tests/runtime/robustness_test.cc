@@ -98,7 +98,7 @@ TEST_F(RobustFixture, T2pAbortRollsBackThenRetrySucceeds)
     machine->faults().arm(faultpoint::schedStopTimeout,
                           FaultSpec::once(1));
     runFalseSharing(60000);
-    EXPECT_EQ(tmi.t2pAborts(), 1u);
+    EXPECT_EQ(tmi.ladder().t2pAborts(), 1u);
     EXPECT_TRUE(tmi.repairActive());
     EXPECT_EQ(tmi.rung(), TmiMode::DetectAndRepair);
     // The abort left the address space intact: no update lost.
@@ -112,11 +112,11 @@ TEST_F(RobustFixture, CloneFailureExhaustsRetriesAndDegrades)
                           FaultSpec::always());
     runFalseSharing(60000);
     // All t2pMaxAttempts (default 4) failed; runtime dropped a rung.
-    EXPECT_EQ(tmi.t2pAborts(), 4u);
+    EXPECT_EQ(tmi.ladder().t2pAborts(), 4u);
     EXPECT_EQ(machine->faults().fires(faultpoint::memCloneFail), 4u);
     EXPECT_EQ(tmi.rung(), TmiMode::DetectOnly);
     EXPECT_FALSE(tmi.repairActive());
-    EXPECT_GE(tmi.ladderDrops(), 1u);
+    EXPECT_GE(tmi.ladder().drops(), 1u);
     // Rollback identity: every thread still lives in process 0.
     for (ThreadId tid = 0; tid < 3; ++tid)
         EXPECT_EQ(machine->processOf(tid), 0u);
@@ -132,7 +132,7 @@ TEST_F(RobustFixture, TwinAllocFailureFallsBackToSharing)
     // Every COW attempt failed to twin; the pages reverted to shared
     // mappings (unrepaired but memory-safe) and the run stayed
     // correct.
-    EXPECT_GT(tmi.cowFallbacks(), 0u);
+    EXPECT_GT(tmi.ladder().cowFallbacks(), 0u);
     EXPECT_EQ(fsTotal(), 120000u);
 }
 
@@ -142,7 +142,7 @@ TEST_F(RobustFixture, FrameExhaustionAbandonsCowSafely)
     machine->faults().arm(faultpoint::memFrameExhausted,
                           FaultSpec::always());
     runFalseSharing(60000);
-    EXPECT_GT(tmi.cowFallbacks(), 0u);
+    EXPECT_GT(tmi.ladder().cowFallbacks(), 0u);
     EXPECT_EQ(fsTotal(), 120000u);
 }
 
@@ -171,7 +171,7 @@ TEST_F(RobustFixture, MonitorUnrepairsWhenRepairRegresses)
     runFalseSharing(60000, [&](ThreadApi &w, int) {
         w.fetchAdd(pc_atomic, actr, 1, MemOrder::SeqCst);
     });
-    EXPECT_GE(tmi.unrepairs(), 1u);
+    EXPECT_GE(tmi.ladder().unrepairs(), 1u);
     // Un-repair preserved both the racy-line counts and atomicity.
     EXPECT_EQ(fsTotal(), 120000u);
     EXPECT_EQ(machine->peekShared(actr, 8), 120000u);
@@ -226,7 +226,7 @@ TEST_F(RobustFixture, WatchdogBreaksPtsbLivelock)
     ASSERT_EQ(machine->sched().run(2'000'000'000ULL),
               RunOutcome::Completed);
     ASSERT_TRUE(runtime->repairActive());
-    EXPECT_GE(tmi.watchdogFires(), 1u);
+    EXPECT_GE(tmi.ladder().watchdogFires(), 1u);
     EXPECT_EQ(fsTotal(), 120000u);
     EXPECT_EQ(machine->peekShared(flag_a, 8), 1u);
     EXPECT_EQ(machine->peekShared(flag_b, 8), 1u);
@@ -246,19 +246,19 @@ TEST_F(RobustFixture, RecoverUpReArmsRepairAfterCleanWindows)
     clone_fail.maxFires = 4;
     machine->faults().arm(faultpoint::memCloneFail, clone_fail);
     runFalseSharing(200000);
-    EXPECT_EQ(tmi.t2pAborts(), 4u);
-    EXPECT_GE(tmi.ladderDrops(), 1u);
+    EXPECT_EQ(tmi.ladder().t2pAborts(), 4u);
+    EXPECT_GE(tmi.ladder().drops(), 1u);
     // Two clean windows later the ladder climbed back and the next
     // engage succeeded.
-    EXPECT_GE(tmi.ladderRecovers(), 1u);
+    EXPECT_GE(tmi.ladder().recovers(), 1u);
     EXPECT_EQ(tmi.rung(), TmiMode::DetectAndRepair);
     EXPECT_TRUE(tmi.repairActive());
     // The climb reset the rollback budget.
-    EXPECT_EQ(tmi.unrepairs(), 0u);
+    EXPECT_EQ(tmi.ladder().unrepairs(), 0u);
     std::size_t recover_events = 0;
     for (const auto &ev : machine->trace()->drain())
         recover_events += ev.kind == obs::EventKind::LadderRecover;
-    EXPECT_EQ(recover_events, tmi.ladderRecovers());
+    EXPECT_EQ(recover_events, tmi.ladder().recovers());
     EXPECT_EQ(fsTotal(), 400000u);
 }
 
@@ -275,7 +275,7 @@ TEST_F(RobustFixture, RecoverUpDisabledKeepsDropPermanent)
     EXPECT_EQ(machine->faults().fires(faultpoint::memCloneFail), 4u);
     EXPECT_EQ(tmi.rung(), TmiMode::DetectOnly);
     EXPECT_FALSE(tmi.repairActive());
-    EXPECT_EQ(tmi.ladderRecovers(), 0u);
+    EXPECT_EQ(tmi.ladder().recovers(), 0u);
     EXPECT_EQ(fsTotal(), 400000u);
 }
 
@@ -287,11 +287,11 @@ TEST_F(RobustFixture, FaultFreeRunIsUnperturbed)
     EXPECT_FALSE(machine->faults().enabled());
     runFalseSharing(60000);
     EXPECT_TRUE(tmi.repairActive());
-    EXPECT_EQ(tmi.t2pAborts(), 0u);
-    EXPECT_EQ(tmi.unrepairs(), 0u);
-    EXPECT_EQ(tmi.watchdogFires(), 0u);
-    EXPECT_EQ(tmi.cowFallbacks(), 0u);
-    EXPECT_EQ(tmi.ladderDrops(), 0u);
+    EXPECT_EQ(tmi.ladder().t2pAborts(), 0u);
+    EXPECT_EQ(tmi.ladder().unrepairs(), 0u);
+    EXPECT_EQ(tmi.ladder().watchdogFires(), 0u);
+    EXPECT_EQ(tmi.ladder().cowFallbacks(), 0u);
+    EXPECT_EQ(tmi.ladder().drops(), 0u);
     EXPECT_EQ(machine->faults().totalFires(), 0u);
     EXPECT_EQ(fsTotal(), 120000u);
 }
