@@ -55,6 +55,8 @@ constexpr GoldenCell matrix[] = {
     {"spinlockpool", "tmi-protect", 0, 0, 0},
     {"streamcluster", "pthreads", 0, 0, 0},
     {"streamcluster", "tmi-protect", 0, 0, 0},
+    {"streamcluster", "laser", 0, 0, 0},
+    {"lu-ncb", "pthreads", 0, 0, 0},
 };
 
 constexpr GoldenCell golden[] = {
