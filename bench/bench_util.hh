@@ -29,13 +29,20 @@
 namespace tmi::bench
 {
 
+/** Env var @p name as a number, or @p fallback when unset. */
+inline std::uint64_t
+envU64(const char *name, std::uint64_t fallback)
+{
+    if (const char *env = std::getenv(name))
+        return std::strtoull(env, nullptr, 10);
+    return fallback;
+}
+
 /** Scale factor for bench runs (env TMI_BENCH_SCALE overrides). */
 inline std::uint64_t
 benchScale(std::uint64_t fallback = 4)
 {
-    if (const char *env = std::getenv("TMI_BENCH_SCALE"))
-        return std::strtoull(env, nullptr, 10);
-    return fallback;
+    return envU64("TMI_BENCH_SCALE", fallback);
 }
 
 /** Default experiment config for bench runs. */

@@ -51,98 +51,32 @@ using namespace tmi::bench;
 namespace
 {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    if (const char *env = std::getenv(name))
-        return std::strtoull(env, nullptr, 10);
-    return fallback;
-}
-
-struct CampaignIo
-{
-    std::string csvPath;
-    std::string reproDir;
-    std::string journalDir;
-    bool resume = false;
-};
-
-/** Run one campaign (in-process or sharded per io.journalDir) and
- *  report its reproducers; returns false on an unclean outcome. */
+/** Run one campaign (sharded when opts.journalDir is set) with its
+ *  CSV in @p csvPath (stdout when empty); false when unclean. */
 bool
-runOne(const char *label, const chaos::CampaignSpec &spec,
-       const CampaignIo &io)
+runOne(const char *tag, const chaos::CampaignSpec &spec,
+       const driver::ShardOptions &opts, const std::string &csvPath,
+       const std::string &reproDir)
 {
     std::ofstream csv_file;
-    if (!io.csvPath.empty()) {
-        csv_file.open(io.csvPath);
+    if (!csvPath.empty()) {
+        csv_file.open(csvPath);
         if (!csv_file) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         io.csvPath.c_str());
+            std::fprintf(stderr, "cannot write '%s'\n", csvPath.c_str());
             return false;
         }
     }
-    std::ostream &os = io.csvPath.empty()
-                           ? static_cast<std::ostream &>(std::cout)
-                           : csv_file;
-
-    driver::RunnerOptions opts;
-    opts.workers = benchWorkers();
+    std::ostream &os = csvPath.empty() ? std::cout : csv_file;
 
     chaos::CampaignOutcome outcome;
-    if (!io.journalDir.empty()) {
-        chaos::ShardedCampaignOptions sharded;
-        sharded.shard.journalDir = io.journalDir;
-        sharded.shard.resume = io.resume;
-        sharded.shard.shards = static_cast<unsigned>(
-            envU64("TMI_CHAOS_SHARDS", 2));
-        sharded.shard.runner = opts;
-        driver::ShardRunStats stats;
-        try {
-            outcome =
-                chaos::runCampaignSharded(spec, sharded, &os, &stats);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "chaos_campaign: %s: %s\n", label,
-                         e.what());
-            return false;
-        }
-        std::fprintf(
-            stderr,
-            "[chaos:%s] %llu shard(s), %llu crash(es), %llu resumed\n",
-            label, static_cast<unsigned long long>(stats.shards),
-            static_cast<unsigned long long>(stats.crashes),
-            static_cast<unsigned long long>(stats.resumedJobs));
-    } else {
-        driver::Runner runner(opts);
-        outcome = chaos::runCampaign(spec, runner, &os);
+    driver::ShardRunStats stats;
+    try {
+        outcome = chaos::runCampaign(spec, opts, &os, &stats);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "chaos_campaign: %s: %s\n", tag, e.what());
+        return false;
     }
-
-    for (const auto &repro : outcome.reproducers) {
-        std::fprintf(stderr, "[chaos:%s] minimized reproducer:\n%s",
-                     label,
-                     chaos::writeScheduleSpec(repro.minimized)
-                         .c_str());
-        if (io.reproDir.empty())
-            continue;
-        std::string name = io.reproDir + "/repro_" +
-                           repro.minimized.workload + "_" +
-                           std::to_string(repro.minimized.index) +
-                           ".spec";
-        std::ofstream rf(name);
-        if (rf)
-            rf << chaos::writeScheduleSpec(repro.minimized);
-    }
-
-    std::fprintf(stderr,
-                 "[chaos:%s] %llu judged, %llu passed, %llu failed, "
-                 "%llu skipped (seed %llu)\n",
-                 label,
-                 static_cast<unsigned long long>(outcome.judged),
-                 static_cast<unsigned long long>(outcome.passed),
-                 static_cast<unsigned long long>(outcome.failed),
-                 static_cast<unsigned long long>(outcome.skipped),
-                 static_cast<unsigned long long>(spec.campaignSeed));
-    return outcome.clean();
+    return chaos::reportCampaign(tag, spec, outcome, stats, reproDir);
 }
 
 } // namespace
@@ -150,17 +84,20 @@ runOne(const char *label, const chaos::CampaignSpec &spec,
 int
 main(int argc, char **argv)
 {
-    CampaignIo io;
+    driver::ShardOptions opts;
+    opts.runner.workers = benchWorkers();
+    opts.shards = static_cast<unsigned>(envU64("TMI_CHAOS_SHARDS", 2));
+    std::string csv_path, repro_dir;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--csv" && i + 1 < argc) {
-            io.csvPath = argv[++i];
+            csv_path = argv[++i];
         } else if (arg == "--repro-dir" && i + 1 < argc) {
-            io.reproDir = argv[++i];
+            repro_dir = argv[++i];
         } else if (arg == "--journal-dir" && i + 1 < argc) {
-            io.journalDir = argv[++i];
+            opts.journalDir = argv[++i];
         } else if (arg == "--resume") {
-            io.resume = true;
+            opts.resume = true;
         } else {
             std::fprintf(stderr,
                          "usage: chaos_campaign [--csv out.csv] "
@@ -200,13 +137,13 @@ main(int argc, char **argv)
     server.schedules = envU64("TMI_CHAOS_SERVER_SCHEDULES", 16);
     server.campaignSeed = envU64("TMI_CHAOS_SEED", 1);
 
-    CampaignIo server_io = io;
-    if (!io.csvPath.empty())
-        server_io.csvPath = io.csvPath + ".server";
-    if (!io.journalDir.empty())
-        server_io.journalDir = io.journalDir + "-server";
-
-    bool ok = runOne("batch", batch, io);
-    ok = runOne("server", server, server_io) && ok;
+    driver::ShardOptions server_opts = opts;
+    if (!opts.journalDir.empty())
+        server_opts.journalDir += "-server";
+    bool ok = runOne("chaos:batch", batch, opts, csv_path, repro_dir);
+    ok = runOne("chaos:server", server, server_opts,
+                csv_path.empty() ? "" : csv_path + ".server",
+                repro_dir) &&
+         ok;
     return ok ? 0 : 1;
 }

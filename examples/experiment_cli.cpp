@@ -39,13 +39,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "core/config.hh"
+#include "driver/cli.hh"
 #include "obs/export.hh"
 #include "workloads/workload.hh"
 
@@ -64,15 +64,6 @@ parseTreatment(const std::string &name)
     for (Treatment t : allTreatments())
         std::fprintf(stderr, "  %s\n", treatmentName(t));
     std::exit(2);
-}
-
-void
-listTreatments()
-{
-    for (Treatment t : allTreatments()) {
-        std::printf("%-18s %s\n", treatmentName(t),
-                    treatmentDescription(t));
-    }
 }
 
 /** Parse "point:SPEC" (SPEC: always|once|once=N|p=0.5|every=N). */
@@ -110,43 +101,6 @@ parseFault(const std::string &arg)
                  "p=0.5, every=N\n",
                  spec.c_str());
     std::exit(2);
-}
-
-void
-listFaultPoints()
-{
-    for (const FaultPointInfo &info : FaultInjector::allPoints())
-        std::printf("%-26s %s\n", info.name, info.summary);
-}
-
-void
-listWorkloads(const std::string &family)
-{
-    std::printf("%-16s %-8s %-6s %-10s %s\n", "name", "family",
-                "fs?", "overhead?", "atomics/asm?");
-    bool any = false;
-    for (const auto &info : workloadRegistry()) {
-        if (!family.empty() && info.family != family)
-            continue;
-        any = true;
-        std::printf("%-16s %-8s %-6s %-10s %s\n", info.name.c_str(),
-                    info.family.c_str(),
-                    info.knownFalseSharing ? "yes" : "-",
-                    info.inOverheadSet ? "yes" : "-",
-                    info.usesAtomicsOrAsm ? "yes" : "-");
-        for (const ParamSpec &p : info.schema.specs()) {
-            std::printf("    --param %-16s %-7s default=%-8s %s\n",
-                        p.name.c_str(), paramTypeName(p.type),
-                        p.defaultText().c_str(), p.desc.c_str());
-        }
-    }
-    if (!any && !family.empty()) {
-        std::fprintf(stderr, "no workloads in family '%s'; one of:\n",
-                     family.c_str());
-        for (const std::string &f : workloadFamilies())
-            std::fprintf(stderr, "  %s\n", f.c_str());
-        std::exit(2);
-    }
 }
 
 /** Open @p path for writing or die. */
@@ -277,13 +231,12 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--list" || arg == "--list-workloads") {
-            listWorkloads(family_filter);
-            return 0;
+            return driver::printWorkloads(family_filter) ? 0 : 2;
         } else if (arg == "--list-treatments") {
-            listTreatments();
+            driver::printTreatments();
             return 0;
         } else if (arg == "--list-fault-points") {
-            listFaultPoints();
+            driver::printFaultPoints();
             return 0;
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());

@@ -11,10 +11,7 @@
  *       [--min-events N] [--max-events N]
  *       [--watchdog 0|1] [--monitor 0|1] [--recover-up N]
  *       [--no-minimize] [--minimize-limit N] [--repro-dir DIR]
- *       [--workers N] [--retries N] [--timeout-ms N]
- *       [--csv out.csv] [--no-progress] [--verbose]
- *       [--journal-dir DIR] [--shards N] [--resume]
- *       [--checkpoint-every K] [--kill-budget N]
+ *       [tmi-sweep's orchestration flags: --workers ... --kill-budget]
  *
  *     Runs goldens + N generated fault schedules per cell, streams
  *     the campaign CSV (schema: scripts/check_chaos.py), and shrinks
@@ -26,9 +23,10 @@
  *     schedule that kills its worker twice is quarantined
  *     (status=poisoned) instead of sinking the campaign, and a
  *     killed campaign continues with --resume, reproducing the
- *     uninterrupted CSV byte for byte. Exit status: 0 = every run
- *     executed and passed its oracle, 1 = an oracle failure OR any
- *     job that failed/crashed/was quarantined, 2 = usage error.
+ *     uninterrupted CSV byte for byte. Numeric flags are strict.
+ *     Exit status: 0 = every run executed and passed its oracle,
+ *     1 = an oracle failure OR any job that failed/crashed/was
+ *     quarantined, 2 = usage error.
  *
  *   tmi-chaos replay <spec-file> [--expect-fail] [--verbose]
  *       [--param key=value]...
@@ -54,8 +52,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -63,7 +59,7 @@
 
 #include "chaos/campaign.hh"
 #include "common/logging.hh"
-#include "fault/fault_injector.hh"
+#include "driver/cli.hh"
 #include "workloads/params.hh"
 
 using namespace tmi;
@@ -78,11 +74,15 @@ usageError(const std::string &message)
     std::exit(2);
 }
 
+/** --param key=value onto @p base, or exit 2. */
 void
-listFaultPoints()
+addParam(Config &base, const std::string &text)
 {
-    for (const FaultPointInfo &info : FaultInjector::allPoints())
-        std::printf("%-26s %s\n", info.name, info.summary);
+    std::pair<std::string, std::string> kv;
+    std::string err;
+    if (!parseParamAssignment(text, kv, err))
+        usageError("--param: " + err);
+    base.run.params.push_back(std::move(kv));
 }
 
 chaos::ChaosSchedule
@@ -119,28 +119,25 @@ printRow(const chaos::CampaignRow &row)
 int
 cmdCampaign(int argc, char **argv)
 {
-    chaos::CampaignSpec spec;
-    driver::RunnerOptions opts;
-    opts.workers = 1;
-    opts.progress = true;
-    std::string csv_path;
-    std::string repro_dir;
-    bool verbose = false;
-    std::string journal_dir;
-    unsigned shards = 1;
-    bool resume = false;
-    unsigned kill_budget = 2;
-    std::uint64_t checkpoint_every = 16;
-    bool sharded_flags = false;
+    driver::OrchestrationFlags flags;
+    std::vector<std::string> args;
+    std::string err;
+    if (!driver::parseOrchestrationFlags(argc, argv, flags, args, err))
+        usageError(err);
 
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
+    chaos::CampaignSpec spec;
+    std::string repro_dir;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        auto next = [&]() -> const std::string & {
+            if (i + 1 >= args.size())
                 usageError("'" + arg + "' needs a value");
-            return argv[++i];
+            return args[++i];
         };
-        std::string err;
+        auto number = [&](auto &out) {
+            if (!driver::parseFlagValue(arg, next(), out, err))
+                usageError(err);
+        };
         if (arg == "--workloads") {
             spec.workloads = driver::splitList(next());
         } else if (arg == "--treatments") {
@@ -149,82 +146,41 @@ cmdCampaign(int argc, char **argv)
                 usageError(err);
             }
         } else if (arg == "--schedules") {
-            spec.schedules = std::strtoull(next(), nullptr, 10);
+            number(spec.schedules);
         } else if (arg == "--campaign-seed") {
-            spec.campaignSeed = std::strtoull(next(), nullptr, 10);
+            number(spec.campaignSeed);
         } else if (arg == "--threads") {
-            spec.base.run.threads =
-                static_cast<unsigned>(std::atoi(next()));
+            number(spec.base.run.threads);
         } else if (arg == "--scale") {
-            spec.base.run.scale = std::strtoull(next(), nullptr, 10);
+            number(spec.base.run.scale);
         } else if (arg == "--budget") {
-            spec.base.run.budget = std::strtoull(next(), nullptr, 10);
+            number(spec.base.run.budget);
         } else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            spec.base.run.params.push_back(kv);
+            addParam(spec.base, next());
         } else if (arg == "--watchdog") {
-            spec.base.run.watchdog = std::atoi(next());
+            number(spec.base.run.watchdog);
         } else if (arg == "--monitor") {
-            spec.base.run.monitor = std::atoi(next());
+            number(spec.base.run.monitor);
         } else if (arg == "--recover-up") {
-            spec.base.tmi.robust.recoverUpWindows =
-                static_cast<unsigned>(std::atoi(next()));
+            number(spec.base.tmi.robust.recoverUpWindows);
         } else if (arg == "--min-events") {
-            spec.generator.minEvents =
-                static_cast<unsigned>(std::atoi(next()));
+            number(spec.generator.minEvents);
         } else if (arg == "--max-events") {
-            spec.generator.maxEvents =
-                static_cast<unsigned>(std::atoi(next()));
+            number(spec.generator.maxEvents);
         } else if (arg == "--no-minimize") {
             spec.minimizeFailures = false;
         } else if (arg == "--minimize-limit") {
-            spec.minimizeLimit =
-                static_cast<unsigned>(std::atoi(next()));
+            number(spec.minimizeLimit);
         } else if (arg == "--buggy-dissolve") {
             spec.sheriffBuggyDissolve = true;
         } else if (arg == "--repro-dir") {
             repro_dir = next();
-        } else if (arg == "--workers") {
-            opts.workers = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--retries") {
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(next())) + 1;
-        } else if (arg == "--timeout-ms") {
-            opts.jobTimeout = std::chrono::milliseconds(
-                std::strtoll(next(), nullptr, 10));
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--resume") {
-            resume = true;
-            sharded_flags = true;
-        } else if (arg == "--checkpoint-every") {
-            checkpoint_every = static_cast<std::uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-            sharded_flags = true;
-        } else if (arg == "--kill-budget") {
-            kill_budget = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--no-progress") {
-            opts.progress = false;
-        } else if (arg == "--verbose") {
-            verbose = true;
         } else {
             usageError("unknown campaign flag '" + arg + "'");
         }
     }
-    if (!verbose)
+    if (!flags.verbose)
         setLogLevel(LogLevel::Quiet);
-    if (sharded_flags && journal_dir.empty()) {
-        usageError("--shards/--resume/--checkpoint-every/"
-                   "--kill-budget need --journal-dir");
-    }
 
     std::vector<ConfigError> errors = spec.validate();
     if (!errors.empty()) {
@@ -236,105 +192,40 @@ cmdCampaign(int argc, char **argv)
     }
 
     std::ofstream csv_file;
-    if (!csv_path.empty()) {
-        csv_file.open(csv_path);
+    if (!flags.csvPath.empty()) {
+        csv_file.open(flags.csvPath);
         if (!csv_file)
-            usageError("cannot write '" + csv_path + "'");
+            usageError("cannot write '" + flags.csvPath + "'");
     }
-    std::ostream &os = csv_path.empty() ? std::cout : csv_file;
-    if (csv_path.empty())
-        opts.progress = false;
+    std::ostream &os = flags.csvPath.empty() ? std::cout : csv_file;
 
     chaos::CampaignOutcome outcome;
-    driver::ShardRunStats shard_stats;
-    if (!journal_dir.empty()) {
-        chaos::ShardedCampaignOptions sharded;
-        sharded.shard.shards = shards;
-        sharded.shard.journalDir = journal_dir;
-        sharded.shard.resume = resume;
-        sharded.shard.killBudget = kill_budget;
-        sharded.shard.checkpointEvery = checkpoint_every;
-        sharded.shard.runner = opts;
-        sharded.shard.runner.progress = false;
-        try {
-            outcome = chaos::runCampaignSharded(spec, sharded, &os,
-                                                &shard_stats);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "tmi-chaos: %s\n", e.what());
-            return 2;
-        }
-        std::fprintf(
-            stderr,
-            "[chaos] %llu shard(s): %llu crash(es), %llu "
-            "respawn(s), %llu poisoned, %llu job(s) resumed from "
-            "journals\n",
-            static_cast<unsigned long long>(shard_stats.shards),
-            static_cast<unsigned long long>(shard_stats.crashes),
-            static_cast<unsigned long long>(shard_stats.respawns),
-            static_cast<unsigned long long>(shard_stats.poisoned),
-            static_cast<unsigned long long>(shard_stats.resumedJobs));
-    } else {
-        driver::Runner runner(opts);
-        outcome = chaos::runCampaign(spec, runner, &os);
+    driver::ShardRunStats run;
+    try {
+        outcome = chaos::runCampaign(spec, flags.shard, &os, &run);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "tmi-chaos: %s\n", e.what());
+        return 2;
     }
-
-    for (const auto &repro : outcome.reproducers) {
-        std::fprintf(
-            stderr,
-            "[chaos] minimized %s: %zu -> %zu events in %u probes "
-            "(%s)\n",
-            repro.minimized.summary().c_str(),
-            repro.stats.originalEvents, repro.stats.minimizedEvents,
-            repro.stats.probes,
-            chaos::verdictName(repro.judgement.verdict));
-        if (repro_dir.empty())
-            continue;
-        std::filesystem::create_directories(repro_dir);
-        std::ostringstream name;
-        name << repro_dir << "/repro_" << repro.minimized.workload
-             << "_" << treatmentName(repro.minimized.treatment)
-             << "_" << repro.minimized.index << ".spec";
-        std::ofstream rf(name.str());
-        if (!rf) {
-            std::fprintf(stderr, "tmi-chaos: cannot write '%s'\n",
-                         name.str().c_str());
-            continue;
-        }
-        rf << chaos::writeScheduleSpec(repro.minimized);
-        std::fprintf(stderr, "[chaos] wrote %s\n",
-                     name.str().c_str());
-    }
-
-    std::fprintf(stderr,
-                 "[chaos] campaign seed %llu: %llu judged, %llu "
-                 "passed, %llu failed, %llu skipped\n",
-                 static_cast<unsigned long long>(spec.campaignSeed),
-                 static_cast<unsigned long long>(outcome.judged),
-                 static_cast<unsigned long long>(outcome.passed),
-                 static_cast<unsigned long long>(outcome.failed),
-                 static_cast<unsigned long long>(outcome.skipped));
-    // A campaign is only a success when every run executed AND
-    // passed: a crashed or quarantined job must not be laundered
-    // into "skipped" silence.
-    if (!outcome.clean()) {
-        std::fprintf(
-            stderr,
-            "[chaos] FAILED: %llu oracle failure(s), %llu job(s) "
-            "did not execute (crashed/failed/quarantined)\n",
-            static_cast<unsigned long long>(outcome.failed),
-            static_cast<unsigned long long>(outcome.jobFailures));
-        return 1;
-    }
-    return 0;
+    return chaos::reportCampaign("chaos", spec, outcome, run, repro_dir)
+               ? 0
+               : 1;
 }
 
-int
-cmdReplay(int argc, char **argv)
+/** What replay and minimize take: one spec file plus knobs. */
+struct SpecCommand
 {
     std::string path;
-    bool expect_fail = false;
-    bool verbose = false;
     Config base;
+    bool expectFail = false; //!< replay --expect-fail
+    std::string outPath;     //!< minimize --out
+};
+
+SpecCommand
+parseSpecCommand(const std::string &cmd, int argc, char **argv)
+{
+    SpecCommand c;
+    bool verbose = false;
     for (int i = 0; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -342,31 +233,35 @@ cmdReplay(int argc, char **argv)
                 usageError("'" + arg + "' needs a value");
             return argv[++i];
         };
-        if (arg == "--expect-fail")
-            expect_fail = true;
-        else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            std::string err;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            base.run.params.push_back(std::move(kv));
-        } else if (arg == "--verbose")
+        if (arg == "--expect-fail" && cmd == "replay")
+            c.expectFail = true;
+        else if (arg == "--out" && cmd == "minimize")
+            c.outPath = next();
+        else if (arg == "--param")
+            addParam(c.base, next());
+        else if (arg == "--verbose")
             verbose = true;
         else if (!arg.empty() && arg[0] != '-')
-            path = arg;
+            c.path = arg;
         else
-            usageError("unknown replay flag '" + arg + "'");
+            usageError("unknown " + cmd + " flag '" + arg + "'");
     }
-    if (path.empty())
-        usageError("replay needs a spec file");
+    if (c.path.empty())
+        usageError(cmd + " needs a spec file");
     if (!verbose)
         setLogLevel(LogLevel::Quiet);
+    return c;
+}
 
+int
+cmdReplay(int argc, char **argv)
+{
+    SpecCommand c = parseSpecCommand("replay", argc, argv);
     chaos::CampaignRow row =
-        chaos::replaySchedule(loadSchedule(path), base);
+        chaos::replaySchedule(loadSchedule(c.path), c.base);
     printRow(row);
     bool caught = row.judgement.fail();
-    if (expect_fail) {
+    if (c.expectFail) {
         std::fprintf(stderr,
                      caught ? "[chaos] reproducer still caught\n"
                             : "[chaos] reproducer NO LONGER FAILS\n");
@@ -378,72 +273,34 @@ cmdReplay(int argc, char **argv)
 int
 cmdMinimize(int argc, char **argv)
 {
-    std::string path;
-    std::string out_path;
-    bool verbose = false;
-    Config base;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("'" + arg + "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "--out")
-            out_path = next();
-        else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            std::string err;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            base.run.params.push_back(std::move(kv));
-        } else if (arg == "--verbose")
-            verbose = true;
-        else if (!arg.empty() && arg[0] != '-')
-            path = arg;
-        else
-            usageError("unknown minimize flag '" + arg + "'");
-    }
-    if (path.empty())
-        usageError("minimize needs a spec file");
-    if (!verbose)
-        setLogLevel(LogLevel::Quiet);
-
-    chaos::ChaosSchedule sched = loadSchedule(path);
-    Config golden_cfg = sched.toConfig(base);
+    SpecCommand c = parseSpecCommand("minimize", argc, argv);
+    chaos::ChaosSchedule sched = loadSchedule(c.path);
+    Config golden_cfg = sched.toConfig(c.base);
     golden_cfg.run.faults.clear();
     RunResult golden = runExperiment(golden_cfg);
 
-    if (!chaos::judge(golden, runExperiment(sched.toConfig(base)))
+    if (!chaos::judge(golden, runExperiment(sched.toConfig(c.base)))
              .fail()) {
         std::fprintf(stderr,
                      "tmi-chaos: '%s' does not fail; nothing to "
                      "minimize\n",
-                     path.c_str());
+                     c.path.c_str());
         return 1;
     }
 
-    chaos::MinimizeStats stats;
-    chaos::ChaosSchedule minimal = chaos::minimizeSchedule(
-        sched,
-        [&](const chaos::ChaosSchedule &s) {
-            return chaos::judge(golden,
-                                runExperiment(s.toConfig(base)))
-                .fail();
-        },
-        &stats);
-
+    chaos::CampaignOutcome::Reproducer repro =
+        chaos::minimizeFailure(sched, golden, c.base);
     std::fprintf(stderr,
                  "[chaos] minimized %zu -> %zu events in %u probes\n",
-                 stats.originalEvents, stats.minimizedEvents,
-                 stats.probes);
-    std::string text = chaos::writeScheduleSpec(minimal);
-    if (out_path.empty()) {
+                 repro.stats.originalEvents, repro.stats.minimizedEvents,
+                 repro.stats.probes);
+    std::string text = chaos::writeScheduleSpec(repro.minimized);
+    if (c.outPath.empty()) {
         std::fputs(text.c_str(), stdout);
     } else {
-        std::ofstream os(out_path);
+        std::ofstream os(c.outPath);
         if (!os)
-            usageError("cannot write '" + out_path + "'");
+            usageError("cannot write '" + c.outPath + "'");
         os << text;
     }
     return 0;
@@ -460,7 +317,7 @@ main(int argc, char **argv)
     }
     std::string cmd = argv[1];
     if (cmd == "--list-fault-points") {
-        listFaultPoints();
+        driver::printFaultPoints();
         return 0;
     }
     if (cmd == "campaign")

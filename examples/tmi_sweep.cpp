@@ -4,9 +4,9 @@
  *
  * A sweep is a base configuration plus value lists for the evaluation
  * axes (workload x treatment x scale x period x fault-point x
- * fault-rate x seed). The matrix is expanded once, executed on a host
- * worker pool with retries and per-job timeouts, and streamed as the
- * canonical sweep CSV (schema: scripts/check_sweep.py) in job-id
+ * fault-rate x seed). The matrix is expanded once, executed through
+ * driver::runJobs with retries and per-job timeouts, and streamed as
+ * the canonical sweep CSV (schema: scripts/check_sweep.py) in job-id
  * order -- the CSV is byte-identical for any --workers value.
  *
  * Usage:
@@ -17,13 +17,13 @@
  *       [--fault-points mem.frame_exhausted] \
  *       [--fault-rates 0,0.1,0.5] \
  *       [--threads N] [--budget N] [--param key=value]... \
- *       [--plan-in plan.txt] [--spec sweep.conf] \
- *       [--workers N] [--retries N] [--timeout-ms N] \
- *       [--csv out.csv] [--no-progress] [--dry-run] [--verbose] \
- *       [--journal-dir DIR] [--shards N] [--resume] \
- *       [--checkpoint-every K] [--kill-budget N] \
+ *       [--plan-in plan.txt] [--spec sweep.conf] [--dry-run] \
  *       [--family NAME] [--list-workloads] [--list-treatments] \
- *       [--list-fault-points]
+ *       [--list-fault-points] [orchestration flags]
+ *
+ * The orchestration flags (--workers ... --kill-budget) are the run,
+ * output and sharding flags shared with `tmi-chaos campaign`; see
+ * driver/cli.hh.
  *
  * --plan-in loads a saved huron-static layout plan into the base
  * config: every huron-static cell replays it directly instead of
@@ -43,13 +43,15 @@
  * before it counts, a crashing job is retried and then quarantined
  * (status=poisoned) instead of killing the campaign, and a killed
  * run continues with --resume -- the merged CSV is byte-identical
- * to an uninterrupted run. Exit status: 0 = every job ok, 1 = some
- * job failed, timed out or was quarantined, 2 = usage error.
+ * to an uninterrupted run. Numeric values are strict: a negative,
+ * overflowing or non-numeric one is a usage error naming the flag.
+ * Exit status: 0 = every job ok, 1 = some job failed, timed out or
+ * was quarantined, 2 = usage error.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -57,9 +59,7 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "driver/runner.hh"
-#include "driver/supervisor.hh"
-#include "workloads/workload.hh"
+#include "driver/cli.hh"
 
 using namespace tmi;
 
@@ -73,26 +73,37 @@ usageError(const std::string &message)
     std::exit(2);
 }
 
-void
-applyOrDie(driver::SweepSpec &spec, const std::string &key,
-           const std::string &value)
+/** The spec key an axis/base flag sets, in spec-file spelling
+ *  ("--fault-points" -> "fault_points"); "" for any other flag. */
+std::string
+specKeyOf(const std::string &flag)
 {
-    std::string err;
-    if (!driver::applySpecEntry(spec, key, value, err))
-        usageError(err);
+    static const char *const keys[] = {
+        "workloads", "treatments", "placements", "scales", "periods",
+        "fault_points", "fault_rates", "seeds", "threads", "budget",
+        "param", "interval", "watchdog", "monitor"};
+    if (flag.rfind("--", 0) != 0 ||
+        flag.find('_') != std::string::npos) {
+        return "";
+    }
+    std::string key = flag.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    for (const char *k : keys) {
+        if (key == k)
+            return key;
+    }
+    return "";
 }
 
-void
-loadSpecFile(driver::SweepSpec &spec, const std::string &path)
+std::string
+readFile(const std::string &path, const char *what)
 {
     std::ifstream is(path);
     if (!is)
-        usageError("cannot read spec file '" + path + "'");
+        usageError("cannot read " + std::string{what} + " '" + path + "'");
     std::ostringstream text;
     text << is.rdbuf();
-    std::string err;
-    if (!driver::parseSpecText(spec, text.str(), err))
-        usageError(path + ": " + err);
+    return text.str();
 }
 
 } // namespace
@@ -100,139 +111,47 @@ loadSpecFile(driver::SweepSpec &spec, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    driver::SweepSpec spec;
-    driver::RunnerOptions opts;
-    opts.workers = 1;
-    opts.progress = true;
-    std::string csv_path;
-    bool dry_run = false;
-    bool verbose = false;
-    std::string journal_dir;
-    unsigned shards = 1;
-    bool resume = false;
-    unsigned kill_budget = 2;
-    std::uint64_t checkpoint_every = 16;
-    bool sharded_flags = false; //!< any orchestration flag given
-    std::string family_filter;  //!< --family for --list-workloads
+    driver::OrchestrationFlags flags;
+    std::vector<std::string> args;
+    std::string err;
+    if (!driver::parseOrchestrationFlags(argc - 1, argv + 1, flags, args,
+                                         err)) {
+        usageError(err);
+    }
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
+    driver::SweepSpec spec;
+    bool dry_run = false;
+    std::string family_filter; //!< --family for --list-workloads
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        auto next = [&]() -> const std::string & {
+            if (i + 1 >= args.size())
                 usageError("'" + arg + "' needs a value");
-            return argv[++i];
+            return args[++i];
         };
-        if (arg == "--spec") {
-            loadSpecFile(spec, next());
-        } else if (arg == "--workloads") {
-            applyOrDie(spec, "workloads", next());
-        } else if (arg == "--treatments") {
-            applyOrDie(spec, "treatments", next());
-        } else if (arg == "--placements") {
-            applyOrDie(spec, "placements", next());
-        } else if (arg == "--scales") {
-            applyOrDie(spec, "scales", next());
-        } else if (arg == "--periods") {
-            applyOrDie(spec, "periods", next());
-        } else if (arg == "--fault-points") {
-            applyOrDie(spec, "fault_points", next());
-        } else if (arg == "--fault-rates") {
-            applyOrDie(spec, "fault_rates", next());
-        } else if (arg == "--seeds") {
-            applyOrDie(spec, "seeds", next());
-        } else if (arg == "--threads") {
-            applyOrDie(spec, "threads", next());
-        } else if (arg == "--budget") {
-            applyOrDie(spec, "budget", next());
-        } else if (arg == "--param") {
-            applyOrDie(spec, "param", next());
+        if (std::string key = specKeyOf(arg); !key.empty()) {
+            if (!driver::applySpecEntry(spec, key, next(), err))
+                usageError(arg + ": " + err);
+        } else if (arg == "--spec") {
+            const std::string &path = next();
+            if (!driver::parseSpecText(spec,
+                                       readFile(path, "spec file"),
+                                       err)) {
+                usageError(path + ": " + err);
+            }
         } else if (arg == "--plan-in") {
-            std::ifstream is(next());
-            if (!is)
-                usageError("cannot read plan file");
-            std::ostringstream text;
-            text << is.rdbuf();
-            spec.base.run.planIn = text.str();
-        } else if (arg == "--interval") {
-            applyOrDie(spec, "interval", next());
-        } else if (arg == "--watchdog") {
-            applyOrDie(spec, "watchdog", next());
-        } else if (arg == "--monitor") {
-            applyOrDie(spec, "monitor", next());
-        } else if (arg == "--workers") {
-            opts.workers =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--retries") {
-            // N retries = N+1 attempts.
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(next())) + 1;
-        } else if (arg == "--timeout-ms") {
-            opts.jobTimeout = std::chrono::milliseconds(
-                std::strtoll(next(), nullptr, 10));
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--resume") {
-            resume = true;
-            sharded_flags = true;
-        } else if (arg == "--checkpoint-every") {
-            checkpoint_every = static_cast<std::uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-            sharded_flags = true;
-        } else if (arg == "--kill-budget") {
-            kill_budget = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--no-progress") {
-            opts.progress = false;
-        } else if (arg == "--verbose") {
-            verbose = true;
+            spec.base.run.planIn = readFile(next(), "plan file");
         } else if (arg == "--dry-run") {
             dry_run = true;
         } else if (arg == "--family") {
             family_filter = next();
         } else if (arg == "--list-workloads") {
-            bool any = false;
-            for (const auto &info : workloadRegistry()) {
-                if (!family_filter.empty() &&
-                    info.family != family_filter)
-                    continue;
-                any = true;
-                std::printf("%-16s %s\n", info.name.c_str(),
-                            info.family.c_str());
-                for (const ParamSpec &p : info.schema.specs()) {
-                    std::printf("    %-16s %-7s default=%-8s %s\n",
-                                p.name.c_str(),
-                                paramTypeName(p.type),
-                                p.defaultText().c_str(),
-                                p.desc.c_str());
-                }
-            }
-            if (!any && !family_filter.empty()) {
-                std::fprintf(stderr,
-                             "tmi-sweep: no workloads in family "
-                             "'%s' (known:",
-                             family_filter.c_str());
-                for (const std::string &f : workloadFamilies())
-                    std::fprintf(stderr, " %s", f.c_str());
-                std::fprintf(stderr, ")\n");
-                return 2;
-            }
-            return 0;
+            return driver::printWorkloads(family_filter) ? 0 : 2;
         } else if (arg == "--list-treatments") {
-            for (Treatment t : allTreatments()) {
-                std::printf("%-18s %s\n", treatmentName(t),
-                            treatmentDescription(t));
-            }
+            driver::printTreatments();
             return 0;
         } else if (arg == "--list-fault-points") {
-            for (const FaultPointInfo &info :
-                 FaultInjector::allPoints()) {
-                std::printf("%-26s %s\n", info.name, info.summary);
-            }
+            driver::printFaultPoints();
             return 0;
         } else {
             usageError("unknown flag '" + arg + "'");
@@ -241,7 +160,7 @@ main(int argc, char **argv)
 
     // Worker-thread inform() lines would interleave with the CSV
     // (and with each other) nondeterministically; quiet by default.
-    if (!verbose)
+    if (!flags.verbose)
         setLogLevel(LogLevel::Quiet);
 
     std::vector<ConfigError> errors = spec.validate();
@@ -270,63 +189,27 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (sharded_flags && journal_dir.empty()) {
-        usageError("--shards/--resume/--checkpoint-every/"
-                   "--kill-budget need --journal-dir");
-    }
-
     // The path sink owns its FILE and fsyncs on checkpoint
     // boundaries: a killed orchestrator never leaves a torn row.
-    std::unique_ptr<driver::SweepCsvSink> sink;
-    if (!csv_path.empty()) {
-        sink = std::make_unique<driver::SweepCsvSink>(
-            csv_path, checkpoint_every);
-        if (!sink->ok())
-            usageError("cannot write '" + csv_path + "'");
-    } else {
-        // Progress uses \r; keep it off a terminal that is also
-        // receiving the CSV.
-        opts.progress = false;
-        sink = std::make_unique<driver::SweepCsvSink>(std::cout);
-    }
+    auto sink =
+        flags.csvPath.empty()
+            ? std::make_unique<driver::SweepCsvSink>(std::cout)
+            : std::make_unique<driver::SweepCsvSink>(
+                  flags.csvPath, flags.shard.checkpointEvery);
+    if (!sink->ok())
+        usageError("cannot write '" + flags.csvPath + "'");
 
-    driver::SweepStats stats;
-    std::uint64_t crashes = 0, resumed = 0;
-    if (!journal_dir.empty()) {
-        driver::ShardOptions shard_opts;
-        shard_opts.shards = shards;
-        shard_opts.journalDir = journal_dir;
-        shard_opts.resume = resume;
-        shard_opts.killBudget = kill_budget;
-        shard_opts.checkpointEvery = checkpoint_every;
-        shard_opts.runner = opts;
-        shard_opts.runner.progress = false; // children share stderr
-        driver::ShardSupervisor supervisor(std::move(shard_opts));
-        driver::ShardRunStats shard_stats;
-        try {
-            shard_stats = supervisor.run(spec.expand(), sink.get());
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "tmi-sweep: %s\n", e.what());
-            return 2;
-        }
-        stats = shard_stats.sweep;
-        crashes = shard_stats.crashes;
-        resumed = shard_stats.resumedJobs;
-        std::fprintf(
-            stderr,
-            "[sweep] %llu shard(s): %llu crash(es), %llu respawn(s),"
-            " %llu job(s) resumed from journals\n",
-            static_cast<unsigned long long>(shard_stats.shards),
-            static_cast<unsigned long long>(crashes),
-            static_cast<unsigned long long>(shard_stats.respawns),
-            static_cast<unsigned long long>(resumed));
-    } else {
-        driver::Runner runner(opts);
-        runner.run(spec, sink.get());
-        stats = runner.stats();
+    driver::ShardRunStats run;
+    try {
+        run = driver::runJobs(spec.expand(), sink.get(), flags.shard);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "tmi-sweep: %s\n", e.what());
+        return 2;
     }
     sink->sync();
 
+    driver::printShardSummary("sweep", run);
+    const driver::SweepStats &stats = run.sweep;
     std::fprintf(
         stderr,
         "[sweep] %llu jobs: %llu ok, %llu failed, %llu "
@@ -348,7 +231,7 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(stats.total - stats.ok),
             static_cast<unsigned long long>(stats.total),
             static_cast<unsigned long long>(stats.poisoned),
-            static_cast<unsigned long long>(crashes));
+            static_cast<unsigned long long>(run.crashes));
         return 1;
     }
     return 0;

@@ -172,6 +172,21 @@ rc=0
 grep -q "bogus_knob" "$param_err"
 grep -q "arrival_gap" "$param_err"
 
+# Strict numeric flags: a negative list item and a non-numeric
+# orchestration flag must each fail fast (exit 2) naming the flag,
+# not wrap to 2^64-1 or silently mean "all cores".
+echo "=== numeric flag validation ==="
+expect_flag_error() { # FLAG CMD...: CMD must exit 2 naming FLAG
+    local flag="$1" rc=0
+    shift
+    "$@" 2> "$work/flagerr.txt" || rc=$?
+    [ "$rc" -eq 2 ] && grep -q -- "$flag" "$work/flagerr.txt"
+}
+expect_flag_error --scales ./build/examples/tmi-sweep \
+    --workloads histogramfs --treatments pthreads --scales -1 --dry-run
+expect_flag_error --workers ./build/examples/tmi-chaos campaign \
+    --workloads histogramfs --treatments tmi-protect --workers abc
+
 # Static-repair smoke: the fixed-seed profile phase must synthesize
 # exactly the checked-in golden layout plan (profile -> plan is
 # deterministic), and a huron-static sweep -- both the self-profiling

@@ -1,19 +1,22 @@
 /**
  * @file
  * The chaos campaign: N randomized fault schedules per evaluation
- * cell, executed on the sweep runner, judged by the differential
+ * cell, executed through the driver, judged by the differential
  * oracle, failures shrunk to replayable reproducers.
  *
- * A campaign runs in three phases:
+ * A campaign runs in three phases, each through driver::runJobs
+ * (worker threads, or crash-safe worker processes when a journal
+ * directory is given):
  *
  *  1. goldens: every (workload x treatment) cell runs once
  *     fault-free to capture its end-state digest and makespan. The
  *     makespan doubles as the horizon for drawing firing windows.
- *  2. chaos: `schedules` generated scenarios per cell fan out
- *     through driver::Runner (retries, timeouts, any worker count);
- *     each result is judged against its cell's golden as it is
- *     delivered, in job-id order -- the campaign CSV is therefore
- *     byte-identical for 1 or N workers.
+ *  2. chaos: `schedules` generated scenarios per cell fan out with
+ *     retries, timeouts, any worker or shard count; each result is
+ *     judged against its cell's golden as it is delivered, in job-id
+ *     order -- the campaign CSV is therefore byte-identical for any
+ *     executor. Rows stream out one at a time; only the failures
+ *     queued for phase 3 are held.
  *  3. minimize: the first few failures are delta-debugged down to
  *     1-minimal schedules; the caller can serialize those as
  *     reproducer spec files (writeScheduleSpec).
@@ -30,7 +33,6 @@
 #include "chaos/minimize.hh"
 #include "chaos/oracle.hh"
 #include "chaos/schedule.hh"
-#include "driver/runner.hh"
 #include "driver/supervisor.hh"
 
 namespace tmi::chaos
@@ -85,8 +87,6 @@ struct CampaignRow
 /** Everything a campaign produced. */
 struct CampaignOutcome
 {
-    std::vector<CampaignRow> rows; //!< goldens, then chaos runs
-
     /** @name Chaos-run tallies (goldens not counted) */
     /// @{
     std::uint64_t judged = 0;
@@ -130,42 +130,33 @@ std::string chaosCsvRow(const CampaignRow &row);
 /// @}
 
 /**
- * Run @p spec on @p runner, streaming CSV rows to @p csv (header
- * included; null = no CSV). Row order -- and therefore the CSV --
- * depends only on the spec, never on worker count or timing.
+ * Run @p spec through driver::runJobs with @p opts, streaming CSV
+ * rows to @p csv (header included; null = no CSV). Sharded, each
+ * phase journals into the `goldens/` or `chaos/` subdirectory of
+ * opts.journalDir. The CSV depends only on the spec, never on the
+ * executor, timing or resumes. @p orchestration (may be null) gets
+ * the summed executor stats of both phases.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec,
-                            driver::Runner &runner,
-                            std::ostream *csv = nullptr);
+                            const driver::ShardOptions &opts,
+                            std::ostream *csv = nullptr,
+                            driver::ShardRunStats *orchestration =
+                                nullptr);
 
-/** Orchestration policy for a crash-safe sharded campaign. */
-struct ShardedCampaignOptions
-{
-    /** Shards, journal dir (required), resume, kill budget... The
-     *  goldens and chaos phases journal into the `goldens/` and
-     *  `chaos/` subdirectories of ShardOptions::journalDir. */
-    driver::ShardOptions shard;
-    /** Retain every CampaignRow in the outcome (tests, benches).
-     *  Off (the default) keeps campaign memory flat: rows stream to
-     *  the CSV and the tallies, and only the few failures queued for
-     *  minimization are held. */
-    bool collectRows = false;
-};
+/** Delta-debug @p failing (judged against @p golden) to a 1-minimal
+ *  reproducer and re-judge the result. */
+CampaignOutcome::Reproducer minimizeFailure(const ChaosSchedule &failing,
+                                            const RunResult &golden,
+                                            const Config &base);
 
-/**
- * runCampaign on the shard supervisor: worker processes instead of
- * worker threads, per-shard journals instead of in-memory buffering.
- * A crashing schedule costs its shard generation, not the campaign;
- * a supervisor killed at any point resumes (opts.shard.resume) from
- * the journals and still produces a CSV byte-identical to an
- * uninterrupted runCampaign of the same spec. @p orchestration (may
- * be null) receives the summed supervisor stats of both phases.
- */
-CampaignOutcome
-runCampaignSharded(const CampaignSpec &spec,
-                   const ShardedCampaignOptions &opts,
-                   std::ostream *csv = nullptr,
-                   driver::ShardRunStats *orchestration = nullptr);
+/** Report a finished campaign on stderr as "[@p tag] ..." lines
+ *  (shard summary, reproducers, tallies, FAILED); each reproducer's
+ *  spec is saved under @p reproDir, or printed when that is empty.
+ *  Returns CampaignOutcome::clean(). */
+bool reportCampaign(const char *tag, const CampaignSpec &spec,
+                    const CampaignOutcome &out,
+                    const driver::ShardRunStats &run,
+                    const std::string &reproDir);
 
 /**
  * Replay one schedule: run its cell fault-free for the golden, then

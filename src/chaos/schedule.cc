@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
 
@@ -211,27 +212,6 @@ writeScheduleSpec(const ChaosSchedule &sched)
 namespace
 {
 
-/** Strip leading/trailing whitespace. */
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
 /** Parse one "event = point k=v k=v ..." value. */
 bool
 parseEvent(const std::string &value, ChaosEvent &ev, std::string &err)
@@ -253,9 +233,7 @@ parseEvent(const std::string &value, ChaosEvent &ev, std::string &err)
         std::string val = token.substr(eq + 1);
         std::uint64_t u = 0;
         if (key == "p") {
-            char *end = nullptr;
-            ev.spec.probability = std::strtod(val.c_str(), &end);
-            if (!end || *end != '\0') {
+            if (!parseDouble(val, ev.spec.probability)) {
                 err = "bad probability '" + val + "'";
                 return false;
             }
@@ -324,6 +302,7 @@ parseScheduleSpec(const std::string &text, ChaosSchedule &sched,
         std::string value = trim(line.substr(eq + 1));
         std::string detail;
         std::uint64_t u = 0;
+        int i = 0;
         if (key == "workload") {
             sched.workload = value;
             saw_workload = true;
@@ -347,10 +326,10 @@ parseScheduleSpec(const std::string &text, ChaosSchedule &sched,
             sched.faultSeed = u;
         } else if (key == "buggy_dissolve" && parseU64(value, u)) {
             sched.sheriffBuggyDissolve = u != 0;
-        } else if (key == "watchdog" && parseU64(value, u)) {
-            sched.watchdog = static_cast<int>(u);
-        } else if (key == "monitor" && parseU64(value, u)) {
-            sched.monitor = static_cast<int>(u);
+        } else if (key == "watchdog" && parseInt(value, i)) {
+            sched.watchdog = i;
+        } else if (key == "monitor" && parseInt(value, i)) {
+            sched.monitor = i;
         } else if (key == "watchdog_timeout" && parseU64(value, u)) {
             sched.watchdogTimeout = u;
         } else if (key == "interval" && parseU64(value, u)) {

@@ -278,28 +278,34 @@ Runner::execute(unsigned self, const Job &job)
 }
 
 void
-Runner::deliver(JobResult &&result)
+SweepStats::count(const JobResult &result)
 {
-    std::lock_guard<std::mutex> g(_deliverMutex);
     switch (result.status) {
       case JobStatus::Ok:
-        ++_stats.ok;
+        ++ok;
         break;
       case JobStatus::Failed:
-        ++_stats.failed;
+        ++failed;
         break;
       case JobStatus::TimedOut:
-        ++_stats.timedOut;
+        ++timedOut;
         break;
       case JobStatus::Cancelled:
-        ++_stats.cancelled;
+        ++cancelled;
         break;
       case JobStatus::Poisoned:
-        ++_stats.poisoned;
+        ++poisoned;
         break;
     }
     if (result.attempts > 1)
-        _stats.retries += result.attempts - 1;
+        retries += result.attempts - 1;
+}
+
+void
+Runner::deliver(JobResult &&result)
+{
+    std::lock_guard<std::mutex> g(_deliverMutex);
+    _stats.count(result);
 
     _pending.emplace(result.job.id, std::move(result));
     while (!_pending.empty() && _pending.begin()->first == _nextId) {

@@ -507,25 +507,7 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
                 jr.error = "no journal record (shard never "
                            "completed this job)";
             }
-            switch (jr.status) {
-              case JobStatus::Ok:
-                ++_stats.sweep.ok;
-                break;
-              case JobStatus::Failed:
-                ++_stats.sweep.failed;
-                break;
-              case JobStatus::TimedOut:
-                ++_stats.sweep.timedOut;
-                break;
-              case JobStatus::Cancelled:
-                ++_stats.sweep.cancelled;
-                break;
-              case JobStatus::Poisoned:
-                ++_stats.sweep.poisoned;
-                break;
-            }
-            if (jr.attempts > 1)
-                _stats.sweep.retries += jr.attempts - 1;
+            _stats.sweep.count(jr);
             if (sink)
                 sink->onResult(jr);
         }
@@ -536,6 +518,21 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
             std::chrono::steady_clock::now() - started)
             .count();
     return _stats;
+}
+
+ShardRunStats
+runJobs(std::vector<Job> jobs, ResultSink *sink,
+        const ShardOptions &opts)
+{
+    if (!opts.journalDir.empty())
+        return ShardSupervisor(opts).run(std::move(jobs), sink);
+    RunnerOptions ro = opts.runner;
+    ro.collectResults = false; // the sink is the result
+    Runner runner(ro);
+    runner.run(std::move(jobs), sink);
+    ShardRunStats stats;
+    stats.sweep = runner.stats();
+    return stats;
 }
 
 } // namespace tmi::driver

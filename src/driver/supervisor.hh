@@ -120,8 +120,6 @@ class ShardSupervisor
     /** Run (or resume) @p jobs; stream merged results to @p sink. */
     ShardRunStats run(std::vector<Job> jobs, ResultSink *sink);
 
-    const ShardOptions &options() const { return _opts; }
-
     /** Shard index covering a global job id under this partition
      *  (exposed for the tests; ranges are contiguous). */
     static std::pair<std::uint64_t, std::uint64_t>
@@ -147,6 +145,13 @@ class ShardSupervisor
     ShardOptions _opts;
     ShardRunStats _stats;
 };
+
+/** The one place a job list meets an executor: a Runner with
+ *  @p opts.runner when @p opts.journalDir is empty (stats.shards ==
+ *  0), a ShardSupervisor otherwise (and throws what it throws).
+ *  Either way @p sink gets the same results in job-id order. */
+ShardRunStats runJobs(std::vector<Job> jobs, ResultSink *sink,
+                      const ShardOptions &opts);
 
 } // namespace tmi::driver
 

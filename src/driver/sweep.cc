@@ -1,10 +1,9 @@
 #include "sweep.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/parse.hh"
 #include "workloads/workload.hh"
 
 namespace tmi::driver
@@ -185,47 +184,6 @@ SweepSpec::expand() const
     return jobs;
 }
 
-namespace
-{
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
-}
-
-bool
-parseOneU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseOneDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-} // namespace
-
 std::vector<std::string>
 splitList(const std::string &csv)
 {
@@ -246,7 +204,7 @@ parseU64List(const std::string &csv, std::vector<std::uint64_t> &out,
 {
     for (const std::string &item : splitList(csv)) {
         std::uint64_t v = 0;
-        if (!parseOneU64(item, v)) {
+        if (!parseU64(item, v)) {
             err = "not an unsigned integer: '" + item + "'";
             return false;
         }
@@ -261,7 +219,7 @@ parseDoubleList(const std::string &csv, std::vector<double> &out,
 {
     for (const std::string &item : splitList(csv)) {
         double v = 0;
-        if (!parseOneDouble(item, v)) {
+        if (!parseDouble(item, v)) {
             err = "not a number: '" + item + "'";
             return false;
         }
@@ -337,19 +295,10 @@ applySpecEntry(SweepSpec &spec, const std::string &key,
         // One workload knob: "param = key=value". The spec parser
         // split the line at its FIRST '=', so the remainder of the
         // assignment arrives intact in @p value here.
-        std::size_t eq = v.find('=');
-        if (eq == std::string::npos) {
-            err = "param wants key=value, got '" + v + "'";
+        std::pair<std::string, std::string> kv;
+        if (!parseParamAssignment(v, kv, err))
             return false;
-        }
-        std::string pk = trim(v.substr(0, eq));
-        std::string pv = trim(v.substr(eq + 1));
-        if (pk.empty()) {
-            err = "param wants key=value, got '" + v + "'";
-            return false;
-        }
-        spec.base.run.params.emplace_back(std::move(pk),
-                                          std::move(pv));
+        spec.base.run.params.push_back(std::move(kv));
         return true;
     }
     if (k == "treatments")
@@ -370,19 +319,25 @@ applySpecEntry(SweepSpec &spec, const std::string &key,
     if (k == "seeds")
         return parseU64List(v, spec.seeds, err);
 
-    // Base-config scalars (single values, not axes).
-    std::uint64_t u = 0;
-    if (k == "threads" || k == "budget" || k == "interval" ||
-        k == "period" || k == "seed" || k == "watchdog" ||
-        k == "monitor") {
-        // "watchdog = -1" must parse; handle the sign here.
-        bool neg = !v.empty() && v[0] == '-';
-        if (!parseOneU64(neg ? v.substr(1) : v, u)) {
+    // Base-config scalars (single values, not axes). Only the
+    // watchdog and monitor arming takes -1 ("keep the default").
+    if (k == "watchdog" || k == "monitor") {
+        int i = 0;
+        if (!parseInt(v, i)) {
             err = "not an integer: '" + v + "'";
             return false;
         }
-        if (neg && k != "watchdog" && k != "monitor") {
-            err = "'" + k + "' cannot be negative";
+        (k == "watchdog" ? spec.base.run.watchdog
+                         : spec.base.run.monitor) = i;
+        return true;
+    }
+    std::uint64_t u = 0;
+    if (k == "threads" || k == "budget" || k == "interval" ||
+        k == "period" || k == "seed") {
+        if (!parseU64(v, u)) {
+            err = !v.empty() && v[0] == '-'
+                      ? "'" + k + "' cannot be negative"
+                      : "not an integer: '" + v + "'";
             return false;
         }
         if (k == "threads")
@@ -393,14 +348,8 @@ applySpecEntry(SweepSpec &spec, const std::string &key,
             spec.base.run.analysisInterval = u;
         else if (k == "period")
             spec.base.run.perfPeriod = u;
-        else if (k == "seed")
-            spec.base.run.seed = u;
-        else if (k == "watchdog")
-            spec.base.run.watchdog =
-                neg ? -static_cast<int>(u) : static_cast<int>(u);
         else
-            spec.base.run.monitor =
-                neg ? -static_cast<int>(u) : static_cast<int>(u);
+            spec.base.run.seed = u;
         return true;
     }
     err = "unknown spec key '" + k + "'";

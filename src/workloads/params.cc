@@ -1,57 +1,15 @@
 #include "workloads/params.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/parse.hh"
 
 namespace tmi
 {
 
 namespace
 {
-
-std::string
-trimCopy(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
 
 std::string
 joinList(const std::vector<std::string> &items)
@@ -214,8 +172,8 @@ parseParamAssignment(const std::string &text,
         err = "'" + text + "' is not of the form key=value";
         return false;
     }
-    out.first = trimCopy(text.substr(0, eq));
-    out.second = trimCopy(text.substr(eq + 1));
+    out.first = trim(text.substr(0, eq));
+    out.second = trim(text.substr(eq + 1));
     if (out.first.empty()) {
         err = "'" + text + "' has an empty parameter key";
         return false;

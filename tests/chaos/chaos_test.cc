@@ -159,6 +159,14 @@ TEST(ScheduleSpec, ErrorsNameTheLine)
     EXPECT_NE(err.find("line 2"), std::string::npos) << err;
     EXPECT_FALSE(parseScheduleSpec("seed = 1\n", s, err));
     EXPECT_NE(err.find("workload"), std::string::npos) << err;
+    // Numbers are strict: a negative seed used to wrap to 2^64-1 and
+    // replay another run; only the arming knobs take -1.
+    EXPECT_FALSE(parseScheduleSpec("workload = x\nseed = -1\n", s, err));
+    EXPECT_FALSE(parseScheduleSpec(
+        "workload = x\nevent = mem.clone_fail at=-3\n", s, err));
+    ASSERT_TRUE(
+        parseScheduleSpec("workload = x\nwatchdog = -1\n", s, err));
+    EXPECT_EQ(s.watchdog, -1);
 }
 
 // ---------------------------------------------------------------------
@@ -355,6 +363,37 @@ smallSpec()
     return spec;
 }
 
+/** In-process execution on @p workers threads. */
+driver::ShardOptions
+threadOptions(unsigned workers)
+{
+    driver::ShardOptions opts;
+    opts.runner.workers = workers;
+    return opts;
+}
+
+/** Column @p name of every data row of the campaign CSV @p text. */
+std::vector<std::string>
+csvColumn(const std::string &text, const std::string &name)
+{
+    std::istringstream is(text);
+    std::string line, cell;
+    std::getline(is, line);
+    std::size_t col = 0;
+    for (std::istringstream hs(line);
+         std::getline(hs, cell, ',') && cell != name;) {
+        ++col;
+    }
+    std::vector<std::string> out;
+    while (std::getline(is, line)) {
+        std::istringstream ls(line);
+        for (std::size_t c = 0; c <= col; ++c)
+            std::getline(ls, cell, ',');
+        out.push_back(cell);
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(Campaign, ValidateCatchesEmptyAxesAndBadCells)
@@ -375,24 +414,24 @@ TEST(Campaign, ValidateCatchesEmptyAxesAndBadCells)
 TEST(Campaign, TmiSurvivesTheSmallCampaignAndMatchesTheGolden)
 {
     CampaignSpec spec = smallSpec();
-    driver::RunnerOptions opts;
-    opts.workers = 2;
-    opts.progress = false;
-    driver::Runner runner(opts);
     std::ostringstream csv;
-    CampaignOutcome out = runCampaign(spec, runner, &csv);
+    CampaignOutcome out = runCampaign(spec, threadOptions(2), &csv);
 
-    ASSERT_EQ(out.rows.size(), 5u);
-    EXPECT_TRUE(out.rows[0].golden);
-    ASSERT_NE(out.rows[0].run.resultDigest, 0u);
+    const std::string text = csv.str();
+    std::vector<std::string> kind = csvColumn(text, "kind");
+    std::vector<std::string> verdict = csvColumn(text, "verdict");
+    std::vector<std::string> digest = csvColumn(text, "digest");
+    std::vector<std::string> golden = csvColumn(text, "golden_digest");
+    ASSERT_EQ(kind.size(), 5u);
+    EXPECT_EQ(kind[0], "golden");
+    ASSERT_NE(digest[0], "0000000000000000");
     EXPECT_EQ(out.judged, 4u);
     EXPECT_TRUE(out.allPassed()) << csv.str();
-    for (std::size_t i = 1; i < out.rows.size(); ++i) {
-        const CampaignRow &row = out.rows[i];
-        EXPECT_EQ(row.judgement.verdict, Verdict::Pass)
-            << row.judgement.reason;
-        EXPECT_EQ(row.run.resultDigest, out.rows[0].run.resultDigest);
-        EXPECT_EQ(row.goldenDigest, out.rows[0].run.resultDigest);
+    for (std::size_t i = 1; i < kind.size(); ++i) {
+        EXPECT_EQ(kind[i], "chaos");
+        EXPECT_EQ(verdict[i], "pass") << csv.str();
+        EXPECT_EQ(digest[i], digest[0]);
+        EXPECT_EQ(golden[i], digest[0]);
     }
 }
 
@@ -401,12 +440,8 @@ TEST(Campaign, CsvIsByteIdenticalAcrossWorkerCounts)
     CampaignSpec spec = smallSpec();
     std::string csv_by_workers[2];
     for (unsigned i = 0; i < 2; ++i) {
-        driver::RunnerOptions opts;
-        opts.workers = i == 0 ? 1 : 4;
-        opts.progress = false;
-        driver::Runner runner(opts);
         std::ostringstream csv;
-        runCampaign(spec, runner, &csv);
+        runCampaign(spec, threadOptions(i == 0 ? 1 : 4), &csv);
         csv_by_workers[i] = csv.str();
     }
     EXPECT_EQ(csv_by_workers[0], csv_by_workers[1]);
@@ -439,15 +474,13 @@ struct TempDir
     std::string path;
 };
 
-ShardedCampaignOptions
+driver::ShardOptions
 shardedOptions(const std::string &dir, unsigned shards)
 {
-    ShardedCampaignOptions opts;
-    opts.shard.journalDir = dir;
-    opts.shard.shards = shards;
-    opts.shard.runner.workers = 1;
-    opts.shard.onEvent = [](const std::string &) {};
-    opts.collectRows = true;
+    driver::ShardOptions opts = threadOptions(1);
+    opts.journalDir = dir;
+    opts.shards = shards;
+    opts.onEvent = [](const std::string &) {};
     return opts;
 }
 
@@ -457,18 +490,18 @@ TEST(ShardedCampaign, CsvMatchesTheInProcessCampaign)
 {
     CampaignSpec spec = smallSpec();
 
-    driver::RunnerOptions ro;
-    ro.workers = 1;
-    ro.progress = false;
-    driver::Runner runner(ro);
     std::ostringstream inproc;
-    CampaignOutcome golden = runCampaign(spec, runner, &inproc);
+    driver::ShardRunStats inproc_stats;
+    CampaignOutcome golden =
+        runCampaign(spec, threadOptions(1), &inproc, &inproc_stats);
+    EXPECT_EQ(inproc_stats.shards, 0u); // worker threads, no journals
+    EXPECT_EQ(inproc_stats.sweep.total, 5u);
 
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
     std::ostringstream sharded;
     driver::ShardRunStats stats;
-    CampaignOutcome out = runCampaignSharded(
+    CampaignOutcome out = runCampaign(
         spec, shardedOptions(dir.path, 2), &sharded, &stats);
 
     // Worker processes + journal merge leave no trace in the CSV.
@@ -478,13 +511,11 @@ TEST(ShardedCampaign, CsvMatchesTheInProcessCampaign)
     EXPECT_EQ(out.failed, golden.failed);
     EXPECT_EQ(out.jobFailures, 0u);
     EXPECT_TRUE(out.clean());
+    EXPECT_EQ(stats.shards, 2u);
     EXPECT_EQ(stats.crashes, 0u);
     EXPECT_TRUE(stats.allOk());
-    ASSERT_EQ(out.rows.size(), golden.rows.size());
-    for (std::size_t i = 0; i < out.rows.size(); ++i) {
-        EXPECT_EQ(out.rows[i].run.resultDigest,
-                  golden.rows[i].run.resultDigest);
-    }
+    EXPECT_EQ(csvColumn(sharded.str(), "digest"),
+              csvColumn(inproc.str(), "digest"));
 }
 
 TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
@@ -494,8 +525,8 @@ TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
     std::ostringstream first;
-    CampaignOutcome a = runCampaignSharded(
-        spec, shardedOptions(dir.path, 2), &first);
+    CampaignOutcome a =
+        runCampaign(spec, shardedOptions(dir.path, 2), &first);
     EXPECT_TRUE(a.clean());
 
     // A kill mid-campaign, modeled by its on-disk aftermath: one
@@ -503,12 +534,11 @@ TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
     std::filesystem::remove(
         driver::ShardSupervisor::journalPath(dir.path + "/chaos", 1));
 
-    ShardedCampaignOptions resume = shardedOptions(dir.path, 2);
-    resume.shard.resume = true;
+    driver::ShardOptions resume = shardedOptions(dir.path, 2);
+    resume.resume = true;
     std::ostringstream second;
     driver::ShardRunStats stats;
-    CampaignOutcome b = runCampaignSharded(
-        spec, resume, &second, &stats);
+    CampaignOutcome b = runCampaign(spec, resume, &second, &stats);
 
     EXPECT_EQ(second.str(), first.str()); // byte-identical resume
     EXPECT_TRUE(b.clean());
@@ -522,11 +552,11 @@ TEST(ShardedCampaign, PoisonedScheduleFailsTheCampaignVisibly)
 
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
-    ShardedCampaignOptions opts = shardedOptions(dir.path, 2);
+    driver::ShardOptions opts = shardedOptions(dir.path, 2);
     // Chaos job 2 (goldens run fault-free, so keying on the armed
     // fault list spares the golden phase) kills its worker on every
     // attempt until the supervisor quarantines it.
-    opts.shard.childFaultHook =
+    opts.childFaultHook =
         [](const driver::Job &job, std::uint64_t globalId, unsigned) {
             if (globalId == 2 && !job.config.run.faults.empty())
                 std::abort();
@@ -534,15 +564,16 @@ TEST(ShardedCampaign, PoisonedScheduleFailsTheCampaignVisibly)
 
     std::ostringstream csv;
     driver::ShardRunStats stats;
-    CampaignOutcome out =
-        runCampaignSharded(spec, opts, &csv, &stats);
+    CampaignOutcome out = runCampaign(spec, opts, &csv, &stats);
 
     EXPECT_EQ(stats.poisoned, 1u);
     EXPECT_EQ(stats.crashes, 2u);
     EXPECT_EQ(out.jobFailures, 1u);
     EXPECT_EQ(out.failed, 1u); // judged RunFailed, not dropped
     EXPECT_FALSE(out.clean());
-    EXPECT_NE(csv.str().find(",poisoned,"), std::string::npos);
+    // Row 3 is chaos job 2 (row 0 is the golden).
+    EXPECT_EQ(csvColumn(csv.str(), "status")[3], "poisoned");
+    EXPECT_EQ(csvColumn(csv.str(), "verdict")[3], "run.failed");
     // The other three schedules still ran and passed.
     EXPECT_EQ(out.passed, 3u);
 }

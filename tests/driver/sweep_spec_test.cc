@@ -229,4 +229,17 @@ TEST(SweepSpec, ListParsersRejectGarbage)
               (std::vector<std::string>{"a", "b", "c"}));
 }
 
+TEST(SweepSpec, NegativeAndOverflowingNumbersAreRejected)
+{
+    // strtoull wrapped "-1" to 2^64-1 and saturated overflows there.
+    SweepSpec spec;
+    std::string err;
+    for (const char *bad : {"scales = 2,-1", "seeds = 99999999999999999999",
+                            "periods = +3", "budget = 1e9", "seed = -1"})
+        EXPECT_FALSE(parseSpecText(spec, bad, err)) << bad;
+    // Only the arming knobs take a sign (-1 keeps the default).
+    ASSERT_TRUE(parseSpecText(spec, "monitor = -1", err)) << err;
+    EXPECT_EQ(spec.base.run.monitor, -1);
+}
+
 } // namespace tmi::driver
