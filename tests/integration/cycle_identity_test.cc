@@ -4,7 +4,10 @@
  * count, and mem-op count for a small workload x treatment matrix.
  *
  * The pinned values were recorded at the commit immediately before
- * the AccessPipeline hot-path refactor. Any change to these numbers
+ * the AccessPipeline hot-path refactor; the htm-elide, huron-static,
+ * sheriff-detect, tmi-protect-no-ccc and feed-spsc cells at the
+ * commit before the translation cache took serviced private frames.
+ * Any change to these numbers
  * means the refactor altered simulated behaviour -- the event stream
  * (cycles, HITM counts, stats) is the contract; host-time wins must
  * never move it.
@@ -36,9 +39,11 @@ struct GoldenCell
 };
 
 /** The matrix to run: every translation/hook flavour the access path
- *  has -- plain, manual fix, Tmi rungs (COW + CCC bypass), Sheriff
- *  (atomics buffered), PTSB-everywhere (heavy COW/commit churn), and
- *  LASER (interception armed). */
+ *  has -- plain, manual fix, Tmi rungs (COW + CCC bypass, and COW
+ *  without CCC), Sheriff (atomics buffered; detect-only too),
+ *  PTSB-everywhere (heavy COW/commit churn), LASER (interception
+ *  armed), lock elision (txn conflict tracking and rollback), static
+ *  layout repair (segment redirect), and a server feed. */
 constexpr GoldenCell matrix[] = {
     {"histogramfs", "pthreads", 0, 0, 0},
     {"histogramfs", "manual", 0, 0, 0},
@@ -57,6 +62,11 @@ constexpr GoldenCell matrix[] = {
     {"streamcluster", "tmi-protect", 0, 0, 0},
     {"streamcluster", "laser", 0, 0, 0},
     {"lu-ncb", "pthreads", 0, 0, 0},
+    {"spinlockpool", "htm-elide", 0, 0, 0},
+    {"histogramfs", "huron-static", 0, 0, 0},
+    {"histogramfs", "sheriff-detect", 0, 0, 0},
+    {"histogramfs", "tmi-protect-no-ccc", 0, 0, 0},
+    {"feed-spsc", "tmi-protect", 0, 0, 0},
 };
 
 constexpr GoldenCell golden[] = {
