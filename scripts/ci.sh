@@ -25,6 +25,13 @@ for preset in "${@:-default asan-ubsan}"; do
     # Allow "scripts/ci.sh default asan-ubsan" as well as no args.
     for p in $preset; do
         run_pass "$p"
+        if [ "$p" = default ]; then
+            # The repo benchmark at scale 1: every cell must finish
+            # valid with round-stable fingerprints, so a hot-path
+            # change that breaks a cell's correctness fails here.
+            echo "=== perfbench smoke ==="
+            python3 perfbench/smoke_test.py
+        fi
     done
 done
 

@@ -1,21 +1,73 @@
 #include "cache_sim.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace tmi
 {
+
+CoherenceDirectory::CoherenceDirectory(std::size_t max_live)
+    : _maxLive(max_live)
+{
+    std::size_t slots =
+        std::bit_ceil(std::max<std::size_t>(2 * max_live, 2));
+    _slots.assign(slots, Slot{});
+    _mask = slots - 1;
+    _shift = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
+
+DirEntry &
+CoherenceDirectory::findOrInsert(Addr line_addr)
+{
+    std::size_t i = home(line_addr);
+    for (; _slots[i].line != emptyLine; i = (i + 1) & _mask) {
+        if (_slots[i].line == line_addr)
+            return _slots[i];
+    }
+    // At most max_live of the >= 2 x max_live slots are ever used,
+    // so the probe above always finds an empty slot.
+    TMI_ASSERT(_live < _maxLive, "coherence directory over capacity");
+    ++_live;
+    _slots[i] = Slot{};
+    _slots[i].line = line_addr;
+    return _slots[i];
+}
+
+void
+CoherenceDirectory::erase(DirEntry &entry)
+{
+    std::size_t hole =
+        static_cast<std::size_t>(static_cast<Slot *>(&entry) - &_slots[0]);
+    TMI_ASSERT(hole < _slots.size() && _slots[hole].line != emptyLine);
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless its home lies cyclically in (hole, i] -- moving it
+    // there would put it before its own home.
+    for (std::size_t i = (hole + 1) & _mask; _slots[i].line != emptyLine;
+         i = (i + 1) & _mask) {
+        std::size_t from_home = (i - home(_slots[i].line)) & _mask;
+        if (from_home >= ((i - hole) & _mask)) {
+            _slots[hole] = _slots[i];
+            hole = i;
+        }
+    }
+    _slots[hole].line = emptyLine;
+    --_live;
+}
 
 void
 CacheSim::TagArray::init(unsigned s, unsigned w)
 {
-    sets = s;
+    TMI_ASSERT(std::has_single_bit(s),
+               "cache set count must be a power of two");
     ways = w;
+    setMask = s - 1;
     lines.assign(static_cast<std::size_t>(s) * w, Line{});
 }
 
 CacheSim::Line *
 CacheSim::TagArray::find(Addr line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    Line *base = &lines[static_cast<std::size_t>(set) * ways];
+    Line *base = set(line_addr);
     for (unsigned w = 0; w < ways; ++w) {
         if (base[w].state != Mesi::Invalid && base[w].tag == line_addr)
             return &base[w];
@@ -26,8 +78,7 @@ CacheSim::TagArray::find(Addr line_addr)
 CacheSim::Line &
 CacheSim::TagArray::victim(Addr line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    Line *base = &lines[static_cast<std::size_t>(set) * ways];
+    Line *base = set(line_addr);
     Line *lru = &base[0];
     for (unsigned w = 0; w < ways; ++w) {
         if (base[w].state == Mesi::Invalid)
@@ -38,7 +89,9 @@ CacheSim::TagArray::victim(Addr line_addr)
     return *lru;
 }
 
-CacheSim::CacheSim(const CacheConfig &config) : _config(config)
+CacheSim::CacheSim(const CacheConfig &config)
+    : _config(config),
+      _dir(std::size_t{config.cores} * config.l1Sets * config.l1Ways)
 {
     TMI_ASSERT(config.cores >= 1 && config.cores <= 32);
     _l1.resize(config.cores);
@@ -60,25 +113,43 @@ CacheSim::dropFromCore(CoreId core, Addr line_addr)
         }
         line->state = Mesi::Invalid;
     }
-    auto it = _dir.find(line_addr);
-    if (it != _dir.end()) {
-        it->second.sharers &= ~(std::uint32_t{1} << core);
-        if (it->second.owner == core)
-            it->second.ownerState = Mesi::Invalid;
-        if (it->second.sharers == 0)
-            _dir.erase(it);
-    }
+    dirRemoveSharer(core, line_addr);
+}
+
+void
+CacheSim::dirRemoveSharer(CoreId core, Addr line_addr)
+{
+    DirEntry *entry = _dir.find(line_addr);
+    if (!entry)
+        return;
+    entry->sharers &= ~(std::uint32_t{1} << core);
+    if (entry->owner == core)
+        entry->ownerState = Mesi::Invalid;
+    if (entry->sharers == 0)
+        _dir.erase(*entry);
 }
 
 bool
 CacheSim::llcLookupFill(Addr line_addr)
 {
-    Line *hit = _llc.find(line_addr);
-    if (hit) {
-        hit->lastUse = _useClock;
-        return true;
+    // One scan finds a hit or the victim TagArray::victim would pick:
+    // the first invalid way, else the first least recently used.
+    Line *base = _llc.set(line_addr);
+    Line *invalid = nullptr;
+    Line *lru = base;
+    for (unsigned w = 0; w < _llc.ways; ++w) {
+        Line &l = base[w];
+        if (l.state == Mesi::Invalid) {
+            if (!invalid)
+                invalid = &l;
+        } else if (l.tag == line_addr) {
+            l.lastUse = _useClock;
+            return true;
+        } else if (l.lastUse < lru->lastUse) {
+            lru = &l;
+        }
     }
-    Line &v = _llc.victim(line_addr);
+    Line &v = invalid ? *invalid : *lru;
     // LLC evictions have no side effects: data always lives in the
     // simulated physical memory, and the LLC is non-inclusive.
     v.tag = line_addr;
@@ -98,20 +169,13 @@ CacheSim::fillLine(CoreId core, Addr line_addr, Mesi state)
             ++_statWritebacks;
             llcLookupFill(victim_addr);
         }
-        auto it = _dir.find(victim_addr);
-        if (it != _dir.end()) {
-            it->second.sharers &= ~(std::uint32_t{1} << core);
-            if (it->second.owner == core)
-                it->second.ownerState = Mesi::Invalid;
-            if (it->second.sharers == 0)
-                _dir.erase(it);
-        }
+        dirRemoveSharer(core, victim_addr);
     }
     v.tag = line_addr;
     v.state = state;
     v.lastUse = _useClock;
 
-    DirEntry &entry = _dir[line_addr];
+    DirEntry &entry = _dir.findOrInsert(line_addr);
     entry.sharers |= std::uint32_t{1} << core;
     if (state == Mesi::Modified || state == Mesi::Exclusive) {
         entry.owner = core;
@@ -145,7 +209,7 @@ CacheSim::access(const AccessContext &ctx)
         if (line->state == Mesi::Exclusive) {
             // Silent E->M upgrade.
             line->state = Mesi::Modified;
-            DirEntry &entry = _dir[line_addr];
+            DirEntry &entry = _dir.findOrInsert(line_addr);
             entry.owner = ctx.core;
             entry.ownerState = Mesi::Modified;
             res.l1Hit = true;
@@ -156,10 +220,9 @@ CacheSim::access(const AccessContext &ctx)
         // S/O->M upgrade: invalidate every other sharer. A remote
         // Owned copy is dirty and must be written back first.
         ++_statUpgrades;
-        auto it = _dir.find(line_addr);
-        if (it != _dir.end()) {
+        if (DirEntry *dir = _dir.find(line_addr)) {
             std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
+                dir->sharers & ~(std::uint32_t{1} << ctx.core);
             for (CoreId c = 0; c < _config.cores; ++c) {
                 if (others & (std::uint32_t{1} << c)) {
                     ++_statInvalidations;
@@ -173,9 +236,9 @@ CacheSim::access(const AccessContext &ctx)
                     }
                 }
             }
-            it->second.sharers = std::uint32_t{1} << ctx.core;
-            it->second.owner = ctx.core;
-            it->second.ownerState = Mesi::Modified;
+            dir->sharers = std::uint32_t{1} << ctx.core;
+            dir->owner = ctx.core;
+            dir->ownerState = Mesi::Modified;
         }
         line->state = Mesi::Modified;
         res.l1Hit = true;
@@ -184,27 +247,29 @@ CacheSim::access(const AccessContext &ctx)
     }
 
     // L1 miss: snoop the other private caches via the directory.
-    auto it = _dir.find(line_addr);
+    // Erase moves directory slots, so @c dir is only used before the
+    // first dropFromCore/fillLine below.
+    DirEntry *dir = _dir.find(line_addr);
     bool remote_modified = false;
     bool remote_owned = false;
     bool remote_clean = false;
     CoreId owner = 0;
 
-    if (it != _dir.end() && it->second.sharers != 0) {
+    if (dir && dir->sharers != 0) {
         std::uint32_t others =
-            it->second.sharers & ~(std::uint32_t{1} << ctx.core);
+            dir->sharers & ~(std::uint32_t{1} << ctx.core);
         if (others != 0) {
             bool owner_remote =
-                it->second.owner != ctx.core &&
-                (others & (std::uint32_t{1} << it->second.owner));
-            if (it->second.ownerState == Mesi::Modified &&
+                dir->owner != ctx.core &&
+                (others & (std::uint32_t{1} << dir->owner));
+            if (dir->ownerState == Mesi::Modified &&
                 owner_remote) {
                 remote_modified = true;
-                owner = it->second.owner;
-            } else if (it->second.ownerState == Mesi::Owned &&
+                owner = dir->owner;
+            } else if (dir->ownerState == Mesi::Owned &&
                        owner_remote) {
                 remote_owned = true;
-                owner = it->second.owner;
+                owner = dir->owner;
             } else {
                 remote_clean = true;
             }
@@ -234,8 +299,7 @@ CacheSim::access(const AccessContext &ctx)
             Line *remote = _l1[owner].find(line_addr);
             if (remote)
                 remote->state = Mesi::Owned;
-            DirEntry &entry = _dir[line_addr];
-            entry.ownerState = Mesi::Owned;
+            dir->ownerState = Mesi::Owned;
             fillLine(ctx.core, line_addr, Mesi::Shared);
         } else {
             // MESI read: writeback, the owner downgrades to Shared.
@@ -244,8 +308,7 @@ CacheSim::access(const AccessContext &ctx)
             Line *remote = _l1[owner].find(line_addr);
             if (remote)
                 remote->state = Mesi::Shared;
-            DirEntry &entry = _dir[line_addr];
-            entry.ownerState = Mesi::Invalid;
+            dir->ownerState = Mesi::Invalid;
             fillLine(ctx.core, line_addr, Mesi::Shared);
         }
         return res;
@@ -259,7 +322,7 @@ CacheSim::access(const AccessContext &ctx)
         res.latency = _config.ownedForwardLatency;
         if (ctx.isWrite) {
             std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
+                dir->sharers & ~(std::uint32_t{1} << ctx.core);
             for (CoreId c = 0; c < _config.cores; ++c) {
                 if (others & (std::uint32_t{1} << c)) {
                     ++_statInvalidations;
@@ -278,7 +341,7 @@ CacheSim::access(const AccessContext &ctx)
         if (ctx.isWrite) {
             // Invalidate all remote clean copies, take Modified.
             std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
+                dir->sharers & ~(std::uint32_t{1} << ctx.core);
             for (CoreId c = 0; c < _config.cores; ++c) {
                 if (others & (std::uint32_t{1} << c)) {
                     ++_statInvalidations;
@@ -287,16 +350,16 @@ CacheSim::access(const AccessContext &ctx)
                         remote->state = Mesi::Invalid;
                 }
             }
-            it->second.sharers &= std::uint32_t{1} << ctx.core;
+            dir->sharers &= std::uint32_t{1} << ctx.core;
             fillLine(ctx.core, line_addr, Mesi::Modified);
         } else {
             // Downgrade a remote Exclusive copy if there is one.
-            if (it->second.ownerState == Mesi::Exclusive) {
+            if (dir->ownerState == Mesi::Exclusive) {
                 Line *remote =
-                    _l1[it->second.owner].find(line_addr);
+                    _l1[dir->owner].find(line_addr);
                 if (remote && remote->state == Mesi::Exclusive)
                     remote->state = Mesi::Shared;
-                it->second.ownerState = Mesi::Invalid;
+                dir->ownerState = Mesi::Invalid;
             }
             fillLine(ctx.core, line_addr, Mesi::Shared);
         }
@@ -347,6 +410,10 @@ CacheSim::auditCoherence() const
         }
     }
 
+    // No entry may outlive its last cached copy: that bounds the
+    // directory's load.
+    if (_dir.size() != copies.size())
+        return false;
     for (const auto &[line_addr, holders] : copies) {
         unsigned exclusive_holders = 0;
         unsigned owned_holders = 0;
@@ -369,17 +436,16 @@ CacheSim::auditCoherence() const
             return false;
 
         // The directory must cover every cached copy.
-        auto it = _dir.find(line_addr);
-        if (it == _dir.end())
+        const DirEntry *dir = _dir.find(line_addr);
+        if (!dir)
             return false;
         for (const auto &[core, state] : holders) {
-            if (!(it->second.sharers & (std::uint32_t{1} << core)))
+            if (!(dir->sharers & (std::uint32_t{1} << core)))
                 return false;
             if ((state == Mesi::Modified ||
                  state == Mesi::Exclusive ||
                  state == Mesi::Owned) &&
-                (it->second.owner != core ||
-                 it->second.ownerState != state)) {
+                (dir->owner != core || dir->ownerState != state)) {
                 return false;
             }
         }

@@ -20,7 +20,6 @@
 #define TMI_CACHE_CACHE_SIM_HH
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -97,6 +96,82 @@ struct AccessResult
  */
 using HitmCallback = std::function<Cycles(const AccessContext &ctx)>;
 
+/** Directory entry summarizing private-cache residency of a line. */
+struct DirEntry
+{
+    std::uint32_t sharers = 0;  //!< bitmask of cores with the line
+    CoreId owner = 0;           //!< valid if ownerState is M, E or O
+    Mesi ownerState = Mesi::Invalid;
+};
+
+/**
+ * The coherence directory: line address -> DirEntry in a flat
+ * open-addressed table (Fibonacci hash, linear probing, backward-
+ * shift erase). An entry lives only while some private cache holds
+ * its line, so the table is sized once for @p max_live entries at
+ * load factor 1/2 and never rehashes; an insert past @p max_live is
+ * a coherence bug and panics. Erase moves slots: no DirEntry pointer
+ * or reference may be held across an erase.
+ */
+class CoherenceDirectory
+{
+  public:
+    explicit CoherenceDirectory(std::size_t max_live);
+
+    /** The entry for @p line_addr, or null. */
+    DirEntry *
+    find(Addr line_addr)
+    {
+        for (std::size_t i = home(line_addr);; i = (i + 1) & _mask) {
+            if (_slots[i].line == line_addr)
+                return &_slots[i];
+            if (_slots[i].line == emptyLine)
+                return nullptr;
+        }
+    }
+
+    const DirEntry *
+    find(Addr line_addr) const
+    {
+        return const_cast<CoherenceDirectory *>(this)->find(line_addr);
+    }
+
+    /** The entry for @p line_addr, default-constructed if absent. */
+    DirEntry &findOrInsert(Addr line_addr);
+
+    /** Remove @p entry (obtained from find/findOrInsert). */
+    void erase(DirEntry &entry);
+
+    /** Live entries. */
+    std::size_t size() const { return _live; }
+
+    /** Slots in the table (a power of two, at least 2 x max_live). */
+    std::size_t capacity() const { return _slots.size(); }
+
+    /** The slot a probe for @p line_addr starts at. */
+    std::size_t
+    home(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(
+            (line_addr * 0x9e3779b97f4a7c15ULL) >> _shift);
+    }
+
+  private:
+    /** Never a line number: it would need a 70-bit address. */
+    static constexpr Addr emptyLine = ~Addr{0};
+
+    struct Slot : DirEntry
+    {
+        Addr line = emptyLine;
+    };
+
+    std::vector<Slot> _slots;
+    std::size_t _mask = 0;
+    unsigned _shift = 0;
+    std::size_t _live = 0;
+    std::size_t _maxLive = 0;
+};
+
 /** The simulated cache hierarchy. */
 class CacheSim
 {
@@ -169,39 +244,37 @@ class CacheSim
         std::uint64_t lastUse = 0;
     };
 
-    /** One set-associative tag array. */
+    /** One set-associative tag array (a power-of-two set count). */
     struct TagArray
     {
-        unsigned sets = 0;
         unsigned ways = 0;
+        Addr setMask = 0;
         std::vector<Line> lines;
 
         void init(unsigned s, unsigned w);
+        /** The first way of @p line_addr's set. */
+        Line *
+        set(Addr line_addr)
+        {
+            return &lines[static_cast<std::size_t>(line_addr & setMask) *
+                          ways];
+        }
         Line *find(Addr line_addr);
         /** Victim way for a fill (invalid first, else LRU). */
         Line &victim(Addr line_addr);
-        unsigned setIndex(Addr line_addr) const
-        {
-            return static_cast<unsigned>(line_addr % sets);
-        }
-    };
-
-    /** Directory entry summarizing private-cache residency. */
-    struct DirEntry
-    {
-        std::uint32_t sharers = 0;  //!< bitmask of cores with the line
-        CoreId owner = 0;           //!< valid if ownerState is M or E
-        Mesi ownerState = Mesi::Invalid;
     };
 
     void dropFromCore(CoreId core, Addr line_addr);
+    /** Clear @p core's sharer bit (and ownership) of @p line_addr,
+     *  erasing the directory entry once no core holds the line. */
+    void dirRemoveSharer(CoreId core, Addr line_addr);
     void fillLine(CoreId core, Addr line_addr, Mesi state);
     bool llcLookupFill(Addr line_addr);
 
     CacheConfig _config;
     std::vector<TagArray> _l1;
     TagArray _llc;
-    std::unordered_map<Addr, DirEntry> _dir;
+    CoherenceDirectory _dir;
     HitmCallback _hitmCb;
     std::uint64_t _useClock = 0;
 

@@ -3,9 +3,13 @@
  * The global invalidation epoch governing the access-path caches.
  *
  * Every event that can change how a virtual address translates or
- * how the runtime hooks treat an access -- page protection, COW
- * servicing, address-space clones, T2P rebinds, PTSB commits, ladder
- * rung changes, LASER store-buffer arm/disarm -- bumps this counter.
+ * how the runtime hooks treat an access -- page protection and
+ * unprotection, COW aborts, private-frame drops, address-space
+ * clones, T2P rebinds, PTSB commits, ladder rung changes, LASER
+ * store-buffer arm/disarm -- bumps this counter. Servicing a COW
+ * fault does not: a PrivateCow page is cacheable only once its
+ * private frame exists, so nothing for it was cached before the
+ * fault.
  * The AccessPipeline tags everything it caches with the epoch value
  * and revalidates lazily on mismatch, so a bump is O(1) no matter
  * how much is cached.

@@ -14,13 +14,15 @@
  *    (instructions are immutable once defined, so entries never
  *    expire);
  *  - a per-core direct-mapped (pid, vpage) -> frame-base software
- *    translation cache in front of Mmu::translate. Only pages that
- *    are touched and SharedRW are cacheable: for exactly those,
- *    translate() is pure (no faults, no stats, no RNG draws, no
- *    extra cost), so serving the cached frame is bit-identical.
- *    This cache is *host-side only* -- distinct from the timed TLB
- *    model in src/cache/tlb.hh, which stays on the per-access path
- *    because its hit/miss stream is part of the simulated contract;
+ *    translation cache in front of Mmu::translate, sized to the TLB's
+ *    reach. Only pages whose translate() is pure (no faults, no
+ *    stats, no RNG draws, no extra cost) are cacheable, so serving
+ *    the cached frame is bit-identical: touched SharedRW pages, and
+ *    PrivateCow pages whose private frame was serviced by an earlier
+ *    write. This cache is *host-side only* -- distinct from the timed
+ *    TLB model in src/cache/tlb.hh, which stays on the per-access
+ *    path because its hit/miss stream is part of the simulated
+ *    contract;
  *  - a snapshot of the hook-state word (intercept-armed /
  *    atomics-bypass) so the per-access virtual RuntimeHooks queries
  *    collapse to flag reads, plus per-thread bypass-private flags
@@ -166,8 +168,10 @@ class AccessPipeline
     /// @}
 
   private:
-    static constexpr unsigned pcWays = 32;    //!< per core
-    static constexpr unsigned frameWays = 64; //!< per core
+    static constexpr unsigned pcWays = 32; //!< per core
+    /** Per core; about the reach of the TLB model (1,088 entries
+     *  for 4 KB pages), so page-streaming kernels do not thrash it. */
+    static constexpr unsigned frameWays = 1024;
 
     static unsigned
     pcIndex(Addr pc)

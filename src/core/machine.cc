@@ -6,8 +6,24 @@
 #include "alloc/glibc_like.hh"
 #include "alloc/lockless.hh"
 
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+
 namespace tmi
 {
+
+namespace
+{
+/// Epoch shadow check (DESIGN.md section 4d): sanitized builds
+/// re-derive every translation-cache hit through the page table and
+/// abort if the cached frame is stale or the page is no longer pure.
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+constexpr bool epochShadowCheck = true;
+#else
+constexpr bool epochShadowCheck = false;
+#endif
+} // namespace
 
 // ---------------------------------------------------------------------
 // StaticLayoutTable
@@ -513,21 +529,13 @@ Machine::findAllocation(Addr va) const
 std::uint64_t
 Machine::readPhys(Addr paddr, unsigned width) const
 {
-    std::uint8_t buf[8] = {};
-    _mmu.phys().read(paddr, buf, width);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < width; ++i)
-        v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-    return v;
+    return _mmu.phys().load(paddr, width);
 }
 
 void
 Machine::writePhys(Addr paddr, std::uint64_t value, unsigned width)
 {
-    std::uint8_t buf[8];
-    for (unsigned i = 0; i < width; ++i)
-        buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    _mmu.phys().write(paddr, buf, width);
+    _mmu.phys().store(paddr, value, width);
 }
 
 Addr
@@ -611,6 +619,13 @@ Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
         Addr frame_base;
         if (_pipeline.frameLookup(core, pid, vpage, frame_base)) {
             paddr = frame_base | (va & page_mask);
+            if (epochShadowCheck) {
+                Addr slow = 0;
+                bool mapped = _mmu.translatePeek(pid, va, slow);
+                const PageEntry *entry = _mmu.space(pid).find(vpage);
+                TMI_ASSERT(mapped && slow == paddr && entry->pure(),
+                           "stale translation-cache hit");
+            }
         } else {
             TranslateResult tr = _mmu.translate(pid, va, is_write);
             paddr = tr.paddr;

@@ -48,6 +48,17 @@ struct PageEntry
             return privateFrame;
         return backing->frameFor(filePage);
     }
+
+    /** True when translating through this entry has no side effect
+     *  -- no soft fault, no COW fault, no stats, no cost -- for reads
+     *  and writes alike: touched, and either SharedRW or PrivateCow
+     *  with its private frame already serviced. */
+    bool
+    pure() const
+    {
+        return touched && (kind == MapKind::SharedRW ||
+                           privateFrame != invalidPPage);
+    }
 };
 
 /** A simulated process page table. */

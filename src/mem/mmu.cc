@@ -191,10 +191,11 @@ Mmu::translate(ProcessId pid, Addr vaddr, bool is_write)
         }
     }
     Addr off = vaddr & (pageBytes() - 1);
-    // The page is touched by now; SharedRW means no future access can
-    // fault or diverge, so the translation is safe to cache until the
-    // next epoch bump.
-    res.cacheable = entry.kind == MapKind::SharedRW;
+    // A pure entry stays pure until a mapping mutation, and every
+    // such mutation bumps the epoch. The call that services a COW
+    // fault is itself left uncacheable: the cache only ever fills
+    // from a private frame that already existed before this call.
+    res.cacheable = !res.cowFault && entry.pure();
     res.paddr = (entry.activeFrame() << pageShift()) | off;
     return res;
 }

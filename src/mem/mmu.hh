@@ -38,9 +38,12 @@ struct TranslateResult
     bool cowFault = false;   //!< write hit a PrivateCow page
     bool cowAborted = false; //!< COW failed; page reverted to SharedRW
     Cycles extraCost = 0;    //!< cost reported by the COW callback
-    /** True when the page ended this translation touched and
-     *  SharedRW: for such pages translate() is pure (no faults, no
-     *  stats, no RNG), so the AccessPipeline may cache the frame. */
+    /** True when every later translate() of the page is pure (no
+     *  faults, no stats, no RNG, no cost) until the next epoch bump,
+     *  so the AccessPipeline may cache the frame: the page ended this
+     *  call touched and SharedRW, or PrivateCow with a private frame
+     *  serviced before this call (PageEntry::pure). The call that
+     *  services a COW fault is never cacheable. */
     bool cacheable = false;
 };
 
@@ -151,9 +154,12 @@ class Mmu
 
     /**
      * Wire the access-path invalidation epoch (null disables). Every
-     * mapping mutation -- protect/unprotect, COW service or abort,
-     * private-frame drop, clone, mapShared -- bumps it so cached
-     * translations die before they can go stale.
+     * mapping mutation that can change a cached translation --
+     * protect/unprotect, COW abort, private-frame drop, clone,
+     * mapShared -- bumps it so cached translations die before they
+     * can go stale. A serviced COW fault needs no bump: nothing is
+     * ever cached for a PrivateCow page whose private frame does not
+     * exist yet.
      */
     void setEpoch(InvalidationEpoch *epoch) { _epoch = epoch; }
 

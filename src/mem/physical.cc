@@ -11,20 +11,6 @@ PhysicalMemory::PhysicalMemory(unsigned page_shift)
     TMI_ASSERT(page_shift >= lineShift && page_shift <= 30);
 }
 
-PhysicalMemory::Frame &
-PhysicalMemory::frameRef(PPage frame)
-{
-    TMI_ASSERT(frame < _frames.size());
-    return _frames[frame];
-}
-
-const PhysicalMemory::Frame &
-PhysicalMemory::frameRefConst(PPage frame) const
-{
-    TMI_ASSERT(frame < _frames.size());
-    return _frames[frame];
-}
-
 std::uint8_t *
 PhysicalMemory::materialize(Frame &f)
 {

@@ -12,7 +12,9 @@
 #ifndef TMI_MEM_PHYSICAL_HH
 #define TMI_MEM_PHYSICAL_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -59,6 +61,33 @@ class PhysicalMemory
     void write(Addr paddr, const void *buf, std::size_t size);
 
     /**
+     * Typed little-endian load of @p width (1..8) bytes at @p paddr,
+     * zero-extended; the access must stay inside one frame. Reads of
+     * a never-touched frame return 0.
+     */
+    std::uint64_t
+    load(Addr paddr, unsigned width) const
+    {
+        const Frame &f = frameRefConst(paddr >> _pageShift);
+        TMI_ASSERT(f.live);
+        std::uint64_t v = 0;
+        if (f.data)
+            copyWidth(&v, f.data.get() + typedOffset(paddr, width), width);
+        return v;
+    }
+
+    /** Typed little-endian store of the low @p width (1..8) bytes of
+     *  @p value at @p paddr; the access must stay inside one frame. */
+    void
+    store(Addr paddr, std::uint64_t value, unsigned width)
+    {
+        Frame &f = frameRef(paddr >> _pageShift);
+        TMI_ASSERT(f.live);
+        std::uint8_t *data = f.data ? f.data.get() : materialize(f);
+        copyWidth(data + typedOffset(paddr, width), &value, width);
+    }
+
+    /**
      * Borrow a frame's backing buffer, materializing it if needed.
      *
      * Used by the PTSB diff/merge path, which scans whole pages.
@@ -90,9 +119,49 @@ class PhysicalMemory
         bool live = false;
     };
 
-    Frame &frameRef(PPage frame);
-    const Frame &frameRefConst(PPage frame) const;
+    Frame &
+    frameRef(PPage frame)
+    {
+        TMI_ASSERT(frame < _frames.size());
+        return _frames[frame];
+    }
+
+    const Frame &
+    frameRefConst(PPage frame) const
+    {
+        TMI_ASSERT(frame < _frames.size());
+        return _frames[frame];
+    }
+
     std::uint8_t *materialize(Frame &f);
+
+    /** Offset of a typed access in its frame; it may not cross it. */
+    Addr
+    typedOffset(Addr paddr, unsigned width) const
+    {
+        Addr off = paddr & (pageBytes() - 1);
+        TMI_ASSERT(width >= 1 && width <= 8 &&
+                   off + width <= pageBytes());
+        return off;
+    }
+
+    /** memcpy with the common widths as compile-time sizes. Values
+     *  live in host integers, so the simulated little-endian byte
+     *  order needs a little-endian host. */
+    static void
+    copyWidth(void *dst, const void *src, unsigned width)
+    {
+        static_assert(std::endian::native == std::endian::little,
+                      "typed physical access assumes a "
+                      "little-endian host");
+        switch (width) {
+          case 8: std::memcpy(dst, src, 8); break;
+          case 4: std::memcpy(dst, src, 4); break;
+          case 2: std::memcpy(dst, src, 2); break;
+          case 1: std::memcpy(dst, src, 1); break;
+          default: std::memcpy(dst, src, width); break;
+        }
+    }
 
     unsigned _pageShift;
     std::vector<Frame> _frames;

@@ -1,6 +1,10 @@
 #include "fiber.hh"
 
+#include <sys/mman.h>
+
 #include <cstdint>
+
+#include "common/logging.hh"
 
 namespace tmi
 {
@@ -135,5 +139,24 @@ fiberSwitch(FiberContext &from, FiberContext &to)
 }
 
 #endif // TMI_FAST_FIBERS
+
+FiberStack
+fiberStackAlloc(std::size_t bytes)
+{
+    void *stack = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (stack == MAP_FAILED)
+        panic("fiber: cannot map a %zu-byte stack", bytes);
+    TMI_ASAN_UNPOISON(stack, bytes);
+    return FiberStack(static_cast<std::uint8_t *>(stack),
+                      FiberStackFree{bytes});
+}
+
+void
+FiberStackFree::operator()(std::uint8_t *stack) const
+{
+    TMI_ASAN_UNPOISON(stack, bytes);
+    munmap(stack, bytes);
+}
 
 } // namespace tmi

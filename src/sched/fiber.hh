@@ -19,6 +19,22 @@
 #define TMI_SCHED_FIBER_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+
+// Fiber stacks carry ASan stack poison in shadow memory that no
+// function epilogue ever clears (a fiber's frames are abandoned, not
+// returned from). Code that reuses or copies stack bytes wipes it.
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+#include <sanitizer/asan_interface.h>
+#define TMI_ASAN_UNPOISON(ptr, bytes)                                  \
+    __asan_unpoison_memory_region((ptr), (bytes))
+#else
+#define TMI_ASAN_UNPOISON(ptr, bytes) ((void)0)
+#endif
 
 #if defined(__x86_64__) && defined(__ELF__) && !defined(TMI_FORCE_UCONTEXT)
 #define TMI_FAST_FIBERS 1
@@ -53,6 +69,27 @@ void fiberInit(FiberContext &ctx, void *stack_base,
 
 /** Suspend the current fiber into @p from and resume @p to. */
 void fiberSwitch(FiberContext &from, FiberContext &to);
+
+/** Releases a stack from fiberStackAlloc. */
+struct FiberStackFree
+{
+    std::size_t bytes;
+    void operator()(std::uint8_t *stack) const;
+};
+
+/** A fiber stack, owned. */
+using FiberStack = std::unique_ptr<std::uint8_t[], FiberStackFree>;
+
+/**
+ * Allocate a @p bytes fiber stack in its own anonymous mapping rather
+ * than the malloc heap: its pages become resident only as the fiber
+ * touches them, and freeing returns them to the OS. Stacks this size
+ * in the heap leave holes that later runs' allocations land around,
+ * so a long-running process's peak RSS hinged on allocation order.
+ * Under ASan the range is unpoisoned on allocation and release: a
+ * new mapping can reuse the address range of a dead fiber's stack.
+ */
+FiberStack fiberStackAlloc(std::size_t bytes);
 
 } // namespace tmi
 

@@ -7,17 +7,8 @@
 // memory, not in the bytes themselves -- so the intercepted memcpy
 // would flag the copy, and a restored stack would run against stale
 // shadow describing the aborted execution's frames. Unpoison around
-// the copies; resumed frames re-poison themselves on entry.
-#ifndef __has_feature
-#define __has_feature(x) 0
-#endif
-#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
-#include <sanitizer/asan_interface.h>
-#define TMI_ASAN_UNPOISON(ptr, bytes)                                  \
-    __asan_unpoison_memory_region((ptr), (bytes))
-#else
-#define TMI_ASAN_UNPOISON(ptr, bytes) ((void)0)
-#endif
+// the copies (TMI_ASAN_UNPOISON, sched/fiber.hh); resumed frames
+// re-poison themselves on entry.
 
 namespace tmi
 {
@@ -35,7 +26,7 @@ SimThread::SimThread(ThreadId tid, std::string name, Func fn,
                      bool daemon, std::size_t stack_bytes)
     : _tid(tid), _name(std::move(name)), _fn(std::move(fn)),
       _daemon(daemon),
-      _stack(std::make_unique<std::uint8_t[]>(stack_bytes)),
+      _stack(fiberStackAlloc(stack_bytes)),
       _stackBytes(stack_bytes)
 {
 }

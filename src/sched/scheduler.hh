@@ -111,7 +111,7 @@ class SimThread
     /// in block() instead of sleeping.
     bool _wakePending = false;
     Cycles _wakeClock = 0;
-    std::unique_ptr<std::uint8_t[]> _stack;
+    FiberStack _stack;
     std::size_t _stackBytes;
     FiberContext _ctx;
 };

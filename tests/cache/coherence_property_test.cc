@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "cache/cache_sim.hh"
 #include "common/rng.hh"
@@ -93,6 +94,64 @@ TEST_P(CoherenceProperty, LatenciesAlwaysSane)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+TEST(CoherenceAudit, CollidingLinesAtFullDirectoryLoad)
+{
+    // One L1 set per core: every line competes for the same ways.
+    CacheConfig cfg;
+    cfg.cores = 4;
+    cfg.l1Sets = 1;
+    cfg.l1Ways = 4;
+    cfg.llcSets = 16;
+    cfg.llcWays = 4;
+    const unsigned l1_lines = cfg.cores * cfg.l1Sets * cfg.l1Ways;
+
+    // Lines whose directory probes all start at slot 0 or 1, twice as
+    // many as the L1s hold: every insert and erase walks one long
+    // run, and each erase backward-shifts through it.
+    CoherenceDirectory layout(l1_lines);
+    std::vector<Addr> pool;
+    for (Addr line = 0; pool.size() < 2 * l1_lines; ++line) {
+        if (layout.home(line) <= 1)
+            pool.push_back(line);
+    }
+
+    CacheSim cache(cfg);
+    auto touch = [&](CoreId core, Addr line, bool write) {
+        AccessContext ctx;
+        ctx.core = core;
+        ctx.tid = core;
+        ctx.paddr = line * lineBytes;
+        ctx.vaddr = ctx.paddr;
+        ctx.pc = 0x400000;
+        ctx.width = 8;
+        ctx.isWrite = write;
+        cache.access(ctx);
+    };
+
+    // Each core writes its own lines until every L1 way holds a
+    // distinct Modified line: the directory is at its maximum load.
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+        for (unsigned w = 0; w < cfg.l1Ways; ++w)
+            touch(c, pool[c * cfg.l1Ways + w], true);
+    }
+    ASSERT_TRUE(cache.auditCoherence());
+
+    // Evict and refill at that load: half the accesses write a line
+    // of the core's own slice (keeping the L1s full of distinct
+    // lines), the rest hit any line of the pool.
+    Rng rng(29);
+    const unsigned slice = static_cast<unsigned>(pool.size()) / cfg.cores;
+    for (int i = 0; i < 20000; ++i) {
+        auto core = static_cast<CoreId>(rng.below(cfg.cores));
+        if (rng.chance(0.5)) {
+            touch(core, pool[core * slice + rng.below(slice)], true);
+        } else {
+            touch(core, pool[rng.below(pool.size())], rng.chance(0.4));
+        }
+        ASSERT_TRUE(cache.auditCoherence()) << "at access " << i;
+    }
+}
 
 TEST(CoherenceAudit, DetectsNothingOnFreshCache)
 {

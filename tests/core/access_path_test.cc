@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the AccessPipeline invalidation-epoch contract:
- * every mapping mutation site (protect, un-protect, COW service,
+ * every mapping mutation site (protect, un-protect, COW abort,
  * clone, mapShared, private-frame drop, PTSB commit) and hook-state
  * change (hook install, TLB flush; the ladder rungs are exercised by
  * the robustness suite) must bump the global epoch, and an entry
@@ -12,6 +12,7 @@
 
 #include "core/access_path.hh"
 #include "core/machine.hh"
+#include "fault/fault_injector.hh"
 #include "mem/mmu.hh"
 #include "ptsb/ptsb.hh"
 
@@ -50,6 +51,25 @@ struct EpochFixture : public ::testing::Test
     {
         Addr base = 0;
         return pipe.frameLookup(0, pid, vp(), base);
+    }
+
+    /** Protect the page, service its COW fault, then cache the
+     *  private frame through the next (pure) translate. */
+    Addr
+    cacheServicedPrivate()
+    {
+        mmu.protectPrivateCow(pid, vp());
+        TranslateResult fault = mmu.translate(pid, vbase, true);
+        EXPECT_TRUE(fault.cowFault);
+        EXPECT_FALSE(fault.cacheable);
+        TranslateResult tr = mmu.translate(pid, vbase, true);
+        EXPECT_FALSE(tr.softFault || tr.cowFault);
+        EXPECT_TRUE(tr.cacheable);
+        EXPECT_EQ(tr.paddr, fault.paddr);
+        Addr base = tr.paddr & ~Addr{smallPageBytes - 1};
+        pipe.frameInsert(0, pid, vp(), base);
+        EXPECT_TRUE(cachedHit());
+        return base;
     }
 
     VPage vp() const { return vbase >> smallPageShift; }
@@ -109,9 +129,79 @@ TEST_F(EpochFixture, CowServiceIsNeverCacheable)
     mmu.protectPrivateCow(pid, vp());
     TranslateResult tr = mmu.translate(pid, vbase, true);
     EXPECT_TRUE(tr.cowFault);
-    // The freshly twinned private frame must not enter the cache:
-    // its mapping can revert (drop/abandon) without a trace.
+    // The servicing call itself stays uncacheable. Reverts are not
+    // the reason -- drop, unprotect and abandon all bump the epoch --
+    // but every cache fill must come from a call without side
+    // effects, and this one faulted, copied the frame and charged
+    // the twin. The next translate is pure and may fill.
     EXPECT_FALSE(tr.cacheable);
+}
+
+TEST_F(EpochFixture, ServicedPrivateFrameIsCacheable)
+{
+    Addr base = cacheServicedPrivate();
+    std::uint64_t cows = mmu.cowFaults();
+    std::uint64_t soft = mmu.softFaults();
+    std::uint64_t e0 = epoch();
+    // Reads and writes of the serviced page translate purely to the
+    // private frame: no fault, no stat, no epoch bump.
+    for (bool is_write : {false, true}) {
+        TranslateResult tr = mmu.translate(pid, vbase + 8, is_write);
+        EXPECT_TRUE(tr.cacheable);
+        EXPECT_EQ(tr.paddr, base + 8);
+        EXPECT_EQ(tr.extraCost, 0u);
+    }
+    EXPECT_EQ(mmu.cowFaults(), cows);
+    EXPECT_EQ(mmu.softFaults(), soft);
+    EXPECT_EQ(epoch(), e0);
+    EXPECT_NE(base >> smallPageShift, region.frameFor(0));
+}
+
+TEST_F(EpochFixture, ServicedPrivateDropKillsEntry)
+{
+    cacheServicedPrivate();
+    mmu.dropPrivateFrame(pid, vp());
+    EXPECT_FALSE(cachedHit());
+    // Back to an unserviced PrivateCow page: a write would re-fault.
+    EXPECT_FALSE(mmu.translate(pid, vbase, false).cacheable);
+}
+
+TEST_F(EpochFixture, ServicedPrivateUnprotectKillsEntry)
+{
+    cacheServicedPrivate();
+    mmu.unprotect(pid, vp());
+    EXPECT_FALSE(cachedHit());
+    TranslateResult tr = mmu.translate(pid, vbase, true);
+    EXPECT_TRUE(tr.cacheable);
+    EXPECT_EQ(tr.paddr >> smallPageShift, region.frameFor(0));
+}
+
+TEST_F(EpochFixture, InjectedAbandonKillsEntry)
+{
+    // Protect the second page first: protecting bumps on its own.
+    constexpr Addr other = vbase + smallPageBytes;
+    mmu.protectPrivateCow(pid, vp() + 1);
+    cacheServicedPrivate();
+    FaultInjector faults;
+    faults.arm(faultpoint::memFrameExhausted, FaultSpec{.fireAt = 1});
+    mmu.setFaultInjector(&faults);
+    TranslateResult tr = mmu.translate(pid, other, true);
+    mmu.setFaultInjector(nullptr);
+    EXPECT_TRUE(tr.cowAborted);
+    EXPECT_FALSE(cachedHit());
+}
+
+TEST_F(EpochFixture, ServicedPrivateCloneKillsEntry)
+{
+    Addr base = cacheServicedPrivate();
+    ProcessId child = mmu.cloneAddressSpace(pid);
+    EXPECT_FALSE(cachedHit());
+    // The child got its own copy of the private frame, already
+    // serviced, so its first translate is cacheable too.
+    TranslateResult tr = mmu.translate(child, vbase, true);
+    EXPECT_FALSE(tr.cowFault);
+    EXPECT_TRUE(tr.cacheable);
+    EXPECT_NE(tr.paddr & ~Addr{smallPageBytes - 1}, base);
 }
 
 TEST_F(EpochFixture, UnprotectBumps)

@@ -91,6 +91,51 @@ TEST(PhysicalMemory, CrossFrameAccess)
     EXPECT_EQ(out, v);
 }
 
+TEST(PhysicalMemory, TypedAccessAgreesWithByteCopies)
+{
+    PhysicalMemory phys(smallPageShift);
+    Addr base = phys.allocFrame() * phys.pageBytes();
+    const std::uint64_t pattern = 0x8877665544332211ULL;
+    for (unsigned width : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(width);
+        std::uint64_t mask =
+            width == 8 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << (8 * width)) - 1;
+        // store -> read: little-endian bytes, nothing past the width.
+        Addr at = base + 64 * width + 3;
+        phys.store(at, pattern, width);
+        std::uint8_t bytes[9] = {};
+        phys.read(at, bytes, width + 1);
+        for (unsigned i = 0; i < width; ++i) {
+            EXPECT_EQ(bytes[i],
+                      static_cast<std::uint8_t>(pattern >> (8 * i)));
+        }
+        EXPECT_EQ(bytes[width], 0);
+        EXPECT_EQ(phys.load(at, width), pattern & mask);
+
+        // write -> load, at the last bytes of the frame.
+        Addr tail = base + phys.pageBytes() - width;
+        std::uint8_t in[8];
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < width; ++i) {
+            in[i] = static_cast<std::uint8_t>(0xa0 + i);
+            want |= std::uint64_t{in[i]} << (8 * i);
+        }
+        phys.write(tail, in, width);
+        EXPECT_EQ(phys.load(tail, width), want);
+    }
+}
+
+TEST(PhysicalMemory, TypedLoadOfUntouchedFrameIsZero)
+{
+    PhysicalMemory phys(smallPageShift);
+    PPage f = phys.allocFrame();
+    for (unsigned width : {1u, 2u, 4u, 8u})
+        EXPECT_EQ(phys.load(f * phys.pageBytes() + 40, width), 0u);
+    // Loads do not materialize the frame.
+    EXPECT_EQ(phys.framePtrIfTouched(f), nullptr);
+}
+
 TEST(PhysicalMemory, HugePageGeometry)
 {
     PhysicalMemory phys(hugePageShift);
