@@ -1,12 +1,16 @@
 /**
  * @file
  * Cycle-identity golden: pins the simulated makespan, true HITM
- * count, and mem-op count for a small workload x treatment matrix.
+ * count, mem-op count, PTSB commits and racy-merge bytes for a small
+ * workload x treatment (x page size) matrix.
  *
  * The pinned values were recorded at the commit immediately before
  * the AccessPipeline hot-path refactor; the htm-elide, huron-static,
  * sheriff-detect, tmi-protect-no-ccc and feed-spsc cells at the
- * commit before the translation cache took serviced private frames.
+ * commit before the translation cache took serviced private frames;
+ * the sheriff-protect spinlockpool, shptr-lock, 2 MB-page and
+ * feed-spmc cells, and every cell's PTSB commit and conflict-byte
+ * counts, at the commit before the PTSB diffed only written lines.
  * Any change to these numbers
  * means the refactor altered simulated behaviour -- the event stream
  * (cycles, HITM counts, stats) is the contract; host-time wins must
@@ -29,13 +33,25 @@ namespace tmi
 namespace
 {
 
+/** One cell of the matrix to run. */
+struct MatrixCell
+{
+    const char *workload;
+    const char *treatment;
+    unsigned pageShift;
+};
+
+/** One cell's pinned outputs. */
 struct GoldenCell
 {
     const char *workload;
     const char *treatment;
+    unsigned pageShift;
     std::uint64_t cycles;
     std::uint64_t hitmEvents;
     std::uint64_t memOps;
+    std::uint64_t commits;
+    std::uint64_t conflictBytes;
 };
 
 /** The matrix to run: every translation/hook flavour the access path
@@ -43,30 +59,36 @@ struct GoldenCell
  *  without CCC), Sheriff (atomics buffered; detect-only too),
  *  PTSB-everywhere (heavy COW/commit churn), LASER (interception
  *  armed), lock elision (txn conflict tracking and rollback), static
- *  layout repair (segment redirect), and a server feed. */
-constexpr GoldenCell matrix[] = {
-    {"histogramfs", "pthreads", 0, 0, 0},
-    {"histogramfs", "manual", 0, 0, 0},
-    {"histogramfs", "tmi-alloc", 0, 0, 0},
-    {"histogramfs", "tmi-detect", 0, 0, 0},
-    {"histogramfs", "tmi-protect", 0, 0, 0},
-    {"histogramfs", "sheriff-protect", 0, 0, 0},
-    {"histogramfs", "ptsb-everywhere", 0, 0, 0},
-    {"histogramfs", "laser", 0, 0, 0},
-    {"lreg", "pthreads", 0, 0, 0},
-    {"lreg", "tmi-protect", 0, 0, 0},
-    {"lreg", "laser", 0, 0, 0},
-    {"spinlockpool", "pthreads", 0, 0, 0},
-    {"spinlockpool", "tmi-protect", 0, 0, 0},
-    {"streamcluster", "pthreads", 0, 0, 0},
-    {"streamcluster", "tmi-protect", 0, 0, 0},
-    {"streamcluster", "laser", 0, 0, 0},
-    {"lu-ncb", "pthreads", 0, 0, 0},
-    {"spinlockpool", "htm-elide", 0, 0, 0},
-    {"histogramfs", "huron-static", 0, 0, 0},
-    {"histogramfs", "sheriff-detect", 0, 0, 0},
-    {"histogramfs", "tmi-protect-no-ccc", 0, 0, 0},
-    {"feed-spsc", "tmi-protect", 0, 0, 0},
+ *  layout repair (segment redirect), the server feeds, the densest
+ *  commit-per-operation cells, and 2 MB pages (the PTSB's 4 KB
+ *  memcmp pre-filter). */
+constexpr MatrixCell matrix[] = {
+    {"histogramfs", "pthreads", smallPageShift},
+    {"histogramfs", "manual", smallPageShift},
+    {"histogramfs", "tmi-alloc", smallPageShift},
+    {"histogramfs", "tmi-detect", smallPageShift},
+    {"histogramfs", "tmi-protect", smallPageShift},
+    {"histogramfs", "sheriff-protect", smallPageShift},
+    {"histogramfs", "ptsb-everywhere", smallPageShift},
+    {"histogramfs", "laser", smallPageShift},
+    {"lreg", "pthreads", smallPageShift},
+    {"lreg", "tmi-protect", smallPageShift},
+    {"lreg", "laser", smallPageShift},
+    {"spinlockpool", "pthreads", smallPageShift},
+    {"spinlockpool", "tmi-protect", smallPageShift},
+    {"streamcluster", "pthreads", smallPageShift},
+    {"streamcluster", "tmi-protect", smallPageShift},
+    {"streamcluster", "laser", smallPageShift},
+    {"lu-ncb", "pthreads", smallPageShift},
+    {"spinlockpool", "htm-elide", smallPageShift},
+    {"histogramfs", "huron-static", smallPageShift},
+    {"histogramfs", "sheriff-detect", smallPageShift},
+    {"histogramfs", "tmi-protect-no-ccc", smallPageShift},
+    {"feed-spsc", "tmi-protect", smallPageShift},
+    {"spinlockpool", "sheriff-protect", smallPageShift},
+    {"shptr-lock", "tmi-protect", smallPageShift},
+    {"histogramfs", "tmi-protect", hugePageShift},
+    {"feed-spmc", "tmi-protect", smallPageShift},
 };
 
 constexpr GoldenCell golden[] = {
@@ -74,7 +96,7 @@ constexpr GoldenCell golden[] = {
 };
 
 RunResult
-runCell(const char *workload, const char *treatment)
+runCell(const char *workload, const char *treatment, unsigned page_shift)
 {
     const Treatment *t = tryParseTreatment(treatment);
     if (!t)
@@ -84,6 +106,7 @@ runCell(const char *workload, const char *treatment)
     cfg.treatment = t ? *t : Treatment::Pthreads;
     cfg.threads = 4;
     cfg.scale = 1;
+    cfg.pageShift = page_shift;
     cfg.analysisInterval = 500'000;
     cfg.budget = 60'000'000'000ULL;
     return runExperiment(cfg);
@@ -92,15 +115,19 @@ runCell(const char *workload, const char *treatment)
 TEST(CycleIdentity, MatrixMatchesGolden)
 {
     if (std::getenv("TMI_GOLDEN_DUMP")) {
-        for (const GoldenCell &cell : matrix) {
-            RunResult res = runCell(cell.workload, cell.treatment);
-            std::printf("{\"%s\", \"%s\", %lluULL, %lluULL, "
-                        "%lluULL},\n",
-                        cell.workload, cell.treatment,
+        for (const MatrixCell &cell : matrix) {
+            RunResult res =
+                runCell(cell.workload, cell.treatment, cell.pageShift);
+            std::printf("{\"%s\", \"%s\", %u, %lluULL, %lluULL, "
+                        "%lluULL, %lluULL, %lluULL},\n",
+                        cell.workload, cell.treatment, cell.pageShift,
                         static_cast<unsigned long long>(res.cycles),
                         static_cast<unsigned long long>(
                             res.hitmEvents),
-                        static_cast<unsigned long long>(res.memOps));
+                        static_cast<unsigned long long>(res.memOps),
+                        static_cast<unsigned long long>(res.commits),
+                        static_cast<unsigned long long>(
+                            res.conflictBytes));
         }
         return;
     }
@@ -109,13 +136,17 @@ TEST(CycleIdentity, MatrixMatchesGolden)
         << "golden table out of sync with the matrix; regenerate "
            "cycle_identity_golden.inc (see file header)";
     for (const GoldenCell &cell : golden) {
-        RunResult res = runCell(cell.workload, cell.treatment);
+        RunResult res =
+            runCell(cell.workload, cell.treatment, cell.pageShift);
         SCOPED_TRACE(std::string(cell.workload) + " x " +
-                     cell.treatment);
+                     cell.treatment + " @ pageShift " +
+                     std::to_string(cell.pageShift));
         EXPECT_TRUE(res.compatible);
         EXPECT_EQ(res.cycles, cell.cycles);
         EXPECT_EQ(res.hitmEvents, cell.hitmEvents);
         EXPECT_EQ(res.memOps, cell.memOps);
+        EXPECT_EQ(res.commits, cell.commits);
+        EXPECT_EQ(res.conflictBytes, cell.conflictBytes);
     }
 }
 

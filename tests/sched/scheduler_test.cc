@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hh"
@@ -252,6 +255,124 @@ TEST(Scheduler, ManyThreadsAllComplete)
     EXPECT_EQ(sched.run(), RunOutcome::Completed);
     EXPECT_EQ(done, 32);
     EXPECT_GT(sched.contextSwitches(), 32u);
+}
+
+TEST(Scheduler, HandoffSequenceIsPinned)
+{
+    // One scenario through every way a thread leaves the CPU --
+    // quantum expiry, sleepUntil, block/wake, an in-thread spawn,
+    // penalize, checkpoint/restore, hijack, a daemon, and the abort
+    // flag ending one run() that a second run() then finishes. The
+    // (tid, clock) of every return from a scheduler call, plus the
+    // switch and restore counts, pin the scheduling decisions: how a
+    // switch is performed may change, which thread runs next may not.
+    SimScheduler sched(40);
+    std::atomic<bool> stop{false};
+    sched.setAbortFlag(&stop);
+    std::vector<std::pair<ThreadId, Cycles>> seq;
+    auto note = [&] {
+        seq.emplace_back(sched.current()->tid(), sched.now());
+    };
+    FiberCheckpoint txn, victim_ck;
+    ThreadId worker = 0, victim = 0;
+
+    worker = sched.spawn("worker", [&] {
+        for (int i = 0; i < 12; ++i) {
+            sched.advance(15);
+            note();
+            if (i == 3) {
+                sched.spawn("child", [&] {
+                    for (int k = 0; k < 4; ++k) {
+                        sched.advance(10);
+                        note();
+                    }
+                });
+            }
+            if (i == 6) {
+                sched.block();
+                note();
+            }
+        }
+    });
+    sched.spawn("waker", [&] {
+        sched.sleepUntil(100);
+        note();
+        sched.hijackThread(victim, victim_ck);
+        sched.penalize(worker, 30);
+        for (int i = 0; i < 6; ++i) {
+            sched.advance(25);
+            note();
+        }
+        sched.wake(worker, sched.now());
+        stop = true;
+        sched.advance(25); // quantum or not, the next switch aborts
+        note();
+        sched.advance(40);
+        note();
+    });
+    sched.spawn("txn", [&] {
+        sched.advance(30);
+        note();
+        std::uint64_t before = txn.resumes;
+        sched.checkpointCurrent(txn);
+        note();
+        if (txn.resumes == before) {
+            sched.advance(50);
+            note();
+            sched.restoreCurrent(txn);
+        }
+        for (int i = 0; i < 3; ++i) {
+            sched.advance(35);
+            note();
+        }
+    });
+    victim = sched.spawn("victim", [&] {
+        std::uint64_t before = victim_ck.resumes;
+        sched.checkpointCurrent(victim_ck);
+        note();
+        if (victim_ck.resumes != before)
+            return; // the remote abort landed
+        while (true) {
+            sched.advance(10);
+            note();
+        }
+    });
+    sched.spawn(
+        "daemon",
+        [&] {
+            while (true) {
+                sched.sleepUntil(sched.now() + 70);
+                note();
+            }
+        },
+        /*daemon=*/true);
+
+    EXPECT_EQ(sched.run(), RunOutcome::Timeout);
+    std::size_t at_abort = seq.size();
+    std::uint64_t switches_at_abort = sched.contextSwitches();
+    stop = false;
+    EXPECT_EQ(sched.run(), RunOutcome::Completed);
+
+    std::string got;
+    for (auto [tid, clock] : seq)
+        got += std::to_string(tid) + "@" + std::to_string(clock) + " ";
+    // tids: 0 worker, 1 waker, 2 txn, 3 victim, 4 daemon, 5 child.
+    EXPECT_EQ(got,
+        "0@15 0@30 2@30 2@30 3@0 3@10 3@20 3@30 3@40 3@50 3@60 3@70 "
+        "3@80 0@45 0@60 0@75 0@90 5@70 5@80 5@90 5@100 4@70 2@80 2@80 "
+        "2@115 3@90 3@100 3@110 3@120 3@130 1@100 1@125 0@135 3@140 "
+        "4@140 1@150 1@175 2@150 2@185 1@200 1@225 4@210 1@250 1@275 "
+        "0@250 0@265 0@280 0@295 0@310 4@280 1@315 0@325 ");
+    EXPECT_EQ(at_abort, 44u);
+    EXPECT_EQ(switches_at_abort, 20u);
+    EXPECT_EQ(sched.contextSwitches(), 24u);
+    stats::StatGroup group("sched");
+    sched.regStats(group);
+    double restores = -1;
+    ASSERT_TRUE(group.lookupScalar("restores", restores));
+    EXPECT_EQ(restores, 2);
+    EXPECT_EQ(txn.resumes, 1u);
+    EXPECT_EQ(victim_ck.resumes, 1u);
 }
 
 } // namespace tmi
