@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verification, twice: the plain build and the ASan+UBSan
-# build. Both must be green for a change to land.
+# Tier-1 verification, three times: the plain build, the ASan+UBSan
+# build, and a build on the ucontext fiber fallback (what non-x86-64
+# hosts run; threads switch fiber to fiber through swapcontext). All
+# must be green for a change to land.
 #
-#   scripts/ci.sh            # both passes
+#   scripts/ci.sh            # all three passes
 #   scripts/ci.sh default    # plain only
 #   scripts/ci.sh asan-ubsan # sanitized only
+#   scripts/ci.sh ucontext   # ucontext fibers only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +24,7 @@ run_pass() {
     ctest --preset "$preset"
 }
 
-for preset in "${@:-default asan-ubsan}"; do
+for preset in "${@:-default asan-ubsan ucontext}"; do
     # Allow "scripts/ci.sh default asan-ubsan" as well as no args.
     for p in $preset; do
         run_pass "$p"

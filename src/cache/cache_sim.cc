@@ -383,6 +383,8 @@ CacheSim::access(const AccessContext &ctx)
 void
 CacheSim::invalidateLine(Addr paddr)
 {
+    if (_invalidateCb)
+        _invalidateCb(paddr);
     Addr line_addr = lineNumber(paddr);
     for (CoreId c = 0; c < _config.cores; ++c)
         dropFromCore(c, line_addr);

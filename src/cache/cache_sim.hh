@@ -96,6 +96,11 @@ struct AccessResult
  */
 using HitmCallback = std::function<Cycles(const AccessContext &ctx)>;
 
+/** Raised on every invalidateLine() call with its address. The order
+ *  of those calls is simulated state: each dirty line dropped is
+ *  written back into the LLC, moving its replacement order. */
+using InvalidateCallback = std::function<void(Addr paddr)>;
+
 /** Directory entry summarizing private-cache residency of a line. */
 struct DirEntry
 {
@@ -182,6 +187,13 @@ class CacheSim
 
     /** Install the HITM observer (the PEBS model). */
     void setHitmCallback(HitmCallback cb) { _hitmCb = std::move(cb); }
+
+    /** Install an invalidateLine() observer (diagnostics, tests). */
+    void
+    setInvalidateCallback(InvalidateCallback cb)
+    {
+        _invalidateCb = std::move(cb);
+    }
 
     /**
      * Simulate one data access; updates coherence state and returns
@@ -276,6 +288,7 @@ class CacheSim
     TagArray _llc;
     CoherenceDirectory _dir;
     HitmCallback _hitmCb;
+    InvalidateCallback _invalidateCb;
     std::uint64_t _useClock = 0;
 
     stats::Scalar _statAccesses;

@@ -11,15 +11,20 @@ PhysicalMemory::PhysicalMemory(unsigned page_shift)
     TMI_ASSERT(page_shift >= lineShift && page_shift <= 30);
 }
 
-std::uint8_t *
-PhysicalMemory::materialize(Frame &f)
+void
+PhysicalMemory::materialize(Frame &f, bool zero)
 {
-    TMI_ASSERT(f.live);
-    if (!f.data) {
-        f.data = std::make_unique<std::uint8_t[]>(pageBytes());
-        std::memset(f.data.get(), 0, pageBytes());
+    TMI_ASSERT(f.live && !f.data);
+    if (_spare.empty()) {
+        f.data = std::make_unique_for_overwrite<std::uint64_t[]>(
+            (pageBytes() >> 3) + maskWords());
+    } else {
+        f.data = std::move(_spare.back());
+        _spare.pop_back();
     }
-    return f.data.get();
+    if (zero)
+        std::memset(f.data.get(), 0, pageBytes());
+    std::memset(mask(f), 0, maskWords() * sizeof(std::uint64_t));
 }
 
 PPage
@@ -43,8 +48,8 @@ PhysicalMemory::allocCopy(PPage src)
     TMI_ASSERT(sf.live);
     if (sf.data) {
         Frame &df = frameRef(dst);
-        materialize(df);
-        std::memcpy(df.data.get(), sf.data.get(), pageBytes());
+        materialize(df, false);
+        std::memcpy(bytes(df), bytes(sf), pageBytes());
     }
     return dst;
 }
@@ -55,7 +60,10 @@ PhysicalMemory::freeFrame(PPage frame)
     Frame &f = frameRef(frame);
     TMI_ASSERT(f.live);
     f.live = false;
-    f.data.reset();
+    if (f.data && (_spare.size() + 1) * pageBytes() <= spareBytes)
+        _spare.push_back(std::move(f.data));
+    else
+        f.data.reset();
     --_liveFrames;
     ++_statFramesFreed;
 }
@@ -72,7 +80,7 @@ PhysicalMemory::read(Addr paddr, void *buf, std::size_t size) const
         const Frame &f = frameRefConst(frame);
         TMI_ASSERT(f.live);
         if (f.data)
-            std::memcpy(out, f.data.get() + off, chunk);
+            std::memcpy(out, bytes(f) + off, chunk);
         else
             std::memset(out, 0, chunk);
         out += chunk;
@@ -92,7 +100,12 @@ PhysicalMemory::write(Addr paddr, const void *buf, std::size_t size)
             std::min<std::size_t>(size, pageBytes() - off);
         Frame &f = frameRef(frame);
         TMI_ASSERT(f.live);
-        std::memcpy(materialize(f) + off, in, chunk);
+        if (!f.data)
+            materialize(f, true);
+        std::memcpy(bytes(f) + off, in, chunk);
+        Addr last = (off + chunk - 1) >> lineShift;
+        for (Addr line = off >> lineShift; line <= last; ++line)
+            markLine(f, line);
         in += chunk;
         paddr += chunk;
         size -= chunk;
@@ -102,15 +115,12 @@ PhysicalMemory::write(Addr paddr, const void *buf, std::size_t size)
 std::uint8_t *
 PhysicalMemory::framePtr(PPage frame)
 {
-    return materialize(frameRef(frame));
-}
-
-const std::uint8_t *
-PhysicalMemory::framePtrIfTouched(PPage frame) const
-{
-    const Frame &f = frameRefConst(frame);
+    Frame &f = frameRef(frame);
     TMI_ASSERT(f.live);
-    return f.data.get();
+    if (!f.data)
+        materialize(f, true);
+    std::memset(mask(f), 0xff, maskWords() * sizeof(std::uint64_t));
+    return bytes(f);
 }
 
 bool

@@ -7,6 +7,14 @@
  * access, so large simulated footprints cost accounting only until
  * they are actually touched. Reads from untouched frames return zero,
  * matching anonymous-mmap semantics.
+ *
+ * Every path that mutates frame bytes -- store(), write() and
+ * framePtr() -- also marks the cache lines it touched in a per-frame
+ * written-line mask, so the PTSB can diff only the lines a private
+ * frame's owner actually wrote. Buffers of freed frames are kept on a
+ * small bounded free list and handed to the next materialized frame;
+ * frame *numbers* are never reused (physical addresses key the cache
+ * simulator, so reusing one would move cache sets).
  */
 
 #ifndef TMI_MEM_PHYSICAL_HH
@@ -47,7 +55,8 @@ class PhysicalMemory
     /**
      * Allocate a private copy-on-write copy of @p src.
      *
-     * The new frame's contents equal src's current contents.
+     * The new frame's contents equal src's current contents, and no
+     * line of it counts as written yet.
      */
     PPage allocCopy(PPage src);
 
@@ -72,7 +81,7 @@ class PhysicalMemory
         TMI_ASSERT(f.live);
         std::uint64_t v = 0;
         if (f.data)
-            copyWidth(&v, f.data.get() + typedOffset(paddr, width), width);
+            copyWidth(&v, bytes(f) + typedOffset(paddr, width), width);
         return v;
     }
 
@@ -83,19 +92,47 @@ class PhysicalMemory
     {
         Frame &f = frameRef(paddr >> _pageShift);
         TMI_ASSERT(f.live);
-        std::uint8_t *data = f.data ? f.data.get() : materialize(f);
-        copyWidth(data + typedOffset(paddr, width), &value, width);
+        if (!f.data)
+            materialize(f, true);
+        Addr off = typedOffset(paddr, width);
+        copyWidth(bytes(f) + off, &value, width);
+        // An access of at most 8 bytes touches at most two lines.
+        markLine(f, off >> lineShift);
+        markLine(f, (off + width - 1) >> lineShift);
     }
 
     /**
      * Borrow a frame's backing buffer, materializing it if needed.
+     * The caller may write anywhere in it, so every line of the frame
+     * counts as written from here on.
      *
-     * Used by the PTSB diff/merge path, which scans whole pages.
+     * Used by the PTSB merge path.
      */
     std::uint8_t *framePtr(PPage frame);
 
     /** Borrow a frame's buffer for reading; null if never touched. */
-    const std::uint8_t *framePtrIfTouched(PPage frame) const;
+    const std::uint8_t *
+    framePtrIfTouched(PPage frame) const
+    {
+        const Frame &f = frameRefConst(frame);
+        TMI_ASSERT(f.live);
+        return f.data ? bytes(f) : nullptr;
+    }
+
+    /**
+     * The lines of @p frame written since it was allocated: bit
+     * (i % 64) of word (i / 64) is set once line i of the frame has
+     * been written through store(), write() or framePtr(). A superset
+     * of the lines whose bytes changed. Null if the frame was never
+     * touched (nothing written).
+     */
+    const std::uint64_t *
+    writtenLines(PPage frame) const
+    {
+        const Frame &f = frameRefConst(frame);
+        TMI_ASSERT(f.live);
+        return f.data ? mask(f) : nullptr;
+    }
 
     /** True if @p frame is currently allocated. */
     bool frameLive(PPage frame) const;
@@ -113,11 +150,21 @@ class PhysicalMemory
     void regStats(stats::StatGroup &group);
 
   private:
+    /** One frame's backing buffer: pageBytes() of data as 64-bit
+     *  words, then maskWords() of written-line mask. */
+    using Buffer = std::unique_ptr<std::uint64_t[]>;
+
     struct Frame
     {
-        std::unique_ptr<std::uint8_t[]> data; //!< null until touched
+        Buffer data; //!< null until touched
         bool live = false;
     };
+    // _frames keeps one entry per frame ever allocated, every COW
+    // copy included, so a wider entry shows up in peak RSS.
+    static_assert(sizeof(Frame) == 16);
+
+    /** Most spare buffers kept, in bytes of frame data. */
+    static constexpr Addr spareBytes = Addr{16} << 10;
 
     Frame &
     frameRef(PPage frame)
@@ -133,7 +180,35 @@ class PhysicalMemory
         return _frames[frame];
     }
 
-    std::uint8_t *materialize(Frame &f);
+    /** Give untouched frame @p f a buffer (spare or fresh) with an
+     *  empty mask; its data is zeroed only if @p zero. */
+    void materialize(Frame &f, bool zero);
+
+    static std::uint8_t *
+    bytes(const Frame &f)
+    {
+        return reinterpret_cast<std::uint8_t *>(f.data.get());
+    }
+
+    std::uint64_t *
+    mask(const Frame &f) const
+    {
+        return f.data.get() + (pageBytes() >> 3);
+    }
+
+    /** Words of written-line mask per frame. */
+    Addr
+    maskWords() const
+    {
+        return ((pageBytes() >> lineShift) + 63) >> 6;
+    }
+
+    /** Mark line @p line of @p f written. */
+    void
+    markLine(const Frame &f, Addr line)
+    {
+        mask(f)[line >> 6] |= std::uint64_t{1} << (line & 63);
+    }
 
     /** Offset of a typed access in its frame; it may not cross it. */
     Addr
@@ -165,6 +240,7 @@ class PhysicalMemory
 
     unsigned _pageShift;
     std::vector<Frame> _frames;
+    std::vector<Buffer> _spare; //!< buffers of freed frames
     std::uint64_t _liveFrames = 0;
     std::uint64_t _peakFrames = 0;
 

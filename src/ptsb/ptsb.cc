@@ -1,17 +1,53 @@
 #include "ptsb.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "fault/fault_injector.hh"
 
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+
 namespace tmi
 {
+
+namespace
+{
+/// Written-line shadow check (DESIGN.md section 4d): sanitized builds
+/// also compare every line commit() skips, and abort if a byte there
+/// differs from the twin -- some path changed frame bytes without
+/// marking them, and the merge would have dropped that store.
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+constexpr bool writtenLinesShadowCheck = true;
+#else
+constexpr bool writtenLinesShadowCheck = false;
+#endif
+
+void
+checkWrittenLines(const std::uint8_t *priv, const std::uint64_t *written,
+                  const std::uint8_t *snap, Addr page_bytes)
+{
+    static const std::uint8_t zeroLine[lineBytes] = {};
+    for (Addr line = 0; line < page_bytes >> lineShift; ++line) {
+        if (written && (written[line >> 6] >> (line & 63) & 1))
+            continue;
+        const std::uint8_t *now =
+            priv ? priv + (line << lineShift) : zeroLine;
+        TMI_ASSERT(std::memcmp(now, snap + (line << lineShift),
+                               lineBytes) == 0,
+                   "a private frame changed outside its written lines");
+    }
+}
+} // namespace
 
 Ptsb::Ptsb(Mmu &mmu, ProcessId pid, const PtsbCosts &costs,
            CacheSim *cache, FaultInjector *faults)
     : _mmu(mmu), _pid(pid), _costs(costs), _cache(cache),
       _faults(faults)
 {
+    // commit() walks the written-line mask one 4 KB chunk per word.
+    TMI_ASSERT(_mmu.pageBytes() >= smallPageBytes);
 }
 
 Cycles
@@ -86,14 +122,21 @@ Ptsb::onCowFault(VPage vpage, PPage shared_frame, PPage private_frame)
 
     // The twin is the shared page's contents at fault time -- the
     // same snapshot the private frame starts from, so diff(private,
-    // twin) is exactly the bytes this process wrote since.
+    // twin) is exactly the bytes this process wrote since, and they
+    // lie in the lines the private frame marks written.
     const Addr page_bytes = _mmu.pageBytes();
-    twin.snapshot.resize(page_bytes);
+    if (_spareSnapshots.empty()) {
+        twin.snapshot =
+            std::make_unique_for_overwrite<std::uint8_t[]>(page_bytes);
+    } else {
+        twin.snapshot = std::move(_spareSnapshots.back());
+        _spareSnapshots.pop_back();
+    }
     const std::uint8_t *shared = _mmu.phys().framePtrIfTouched(shared_frame);
     if (shared)
-        std::memcpy(twin.snapshot.data(), shared, page_bytes);
+        std::memcpy(twin.snapshot.get(), shared, page_bytes);
     else
-        std::memset(twin.snapshot.data(), 0, page_bytes);
+        std::memset(twin.snapshot.get(), 0, page_bytes);
 
     _twins.emplace(vpage, std::move(twin));
     ++_statTwinsCreated;
@@ -102,6 +145,34 @@ Ptsb::onCowFault(VPage vpage, PPage shared_frame, PPage private_frame)
     if (chunks == 0)
         chunks = 1;
     return {_costs.twinCopyPer4k * chunks, true};
+}
+
+bool
+Ptsb::mergeLine(const std::uint8_t *priv, const std::uint8_t *snap,
+                std::uint8_t *shared, Addr off, CommitResult &res)
+{
+    bool changed = false;
+    for (Addr word = off; word < off + lineBytes; word += 8) {
+        std::uint64_t now = 0, then = 0;
+        std::memcpy(&now, priv + word, 8);
+        std::memcpy(&then, snap + word, 8);
+        // Little-endian host (PhysicalMemory asserts it): byte i of
+        // the word is bits [8i, 8i + 8).
+        for (std::uint64_t diff = now ^ then; diff != 0;) {
+            unsigned byte = std::countr_zero(diff) >> 3;
+            diff &= ~(std::uint64_t{0xff} << (byte * 8));
+            // Merge must change only the bytes identified by the
+            // diff; touching identical bytes would fabricate stores
+            // the program never performed (section 2.2).
+            Addr at = word + byte;
+            if (shared[at] != snap[at])
+                ++res.conflictBytes; // racy concurrent merge
+            shared[at] = priv[at];
+            ++res.bytesChanged;
+            changed = true;
+        }
+    }
+    return changed;
 }
 
 CommitResult
@@ -113,54 +184,58 @@ Ptsb::commit()
         return res; // clean PTSB: the commit is free
     res.cost = _costs.commitBase;
 
-    const Addr page_bytes = _mmu.pageBytes();
+    PhysicalMemory &phys = _mmu.phys();
+    const Addr page_bytes = phys.pageBytes();
     const bool huge = page_bytes > smallPageBytes;
-    const std::size_t chunk = smallPageBytes;
+    // One written-line mask word covers one 4 KB chunk (64 lines).
+    const Addr chunks = page_bytes / smallPageBytes;
 
     for (auto &[vpage, twin] : _twins) {
         ++res.pagesDiffed;
         ++_statPagesDiffed;
 
-        std::uint8_t *priv = _mmu.phys().framePtr(twin.privateFrame);
-        std::uint8_t *shared = _mmu.phys().framePtr(twin.sharedFrame);
-        const std::uint8_t *snap = twin.snapshot.data();
+        const std::uint8_t *priv =
+            phys.framePtrIfTouched(twin.privateFrame);
+        const std::uint64_t *written =
+            phys.writtenLines(twin.privateFrame);
+        std::uint8_t *shared = phys.framePtr(twin.sharedFrame);
+        const std::uint8_t *snap = twin.snapshot.get();
+        if constexpr (writtenLinesShadowCheck)
+            checkWrittenLines(priv, written, snap, page_bytes);
 
-        Addr changed_line = ~Addr{0};
-        for (std::size_t base = 0; base < page_bytes; base += chunk) {
-            if (huge) {
-                // Huge-page optimization: compare 4 KB regions with
-                // memcmp before descending to bytes (section 4.4).
+        // Only written lines can differ from the twin, so only they
+        // are diffed; the cost is still what a full scan charges.
+        // Huge pages pay the 4 KB memcmp pre-filter on every chunk
+        // and the byte diff only on chunks that changed (section
+        // 4.4); a 4 KB page always pays its one byte diff.
+        const Addr frame_line = (twin.sharedFrame * page_bytes) >>
+                                lineShift;
+        for (Addr chunk = 0; chunk < chunks; ++chunk) {
+            bool chunk_changed = false;
+            for (std::uint64_t lines = written ? written[chunk] : 0;
+                 lines != 0; lines &= lines - 1) {
+                Addr line = chunk * 64 + std::countr_zero(lines);
+                if (!mergeLine(priv, snap, shared, line << lineShift,
+                               res))
+                    continue;
+                chunk_changed = true;
+                ++res.linesMerged;
+                res.cost += _costs.mergePerLine;
+                if (_cache)
+                    _cache->invalidateLine((frame_line + line)
+                                           << lineShift);
+            }
+            if (huge)
                 res.cost += _costs.memcmpPer4k;
-                if (std::memcmp(priv + base, snap + base, chunk) == 0)
-                    continue;
-            }
-            res.cost += _costs.diffPer4k;
-            for (std::size_t i = 0; i < chunk; ++i) {
-                std::size_t off = base + i;
-                if (priv[off] == snap[off])
-                    continue;
-                // Merge must change only the bytes identified by the
-                // diff; touching identical bytes would fabricate
-                // stores the program never performed (section 2.2).
-                if (shared[off] != snap[off])
-                    ++res.conflictBytes; // racy concurrent merge
-                shared[off] = priv[off];
-                ++res.bytesChanged;
-                Addr line = (twin.sharedFrame * page_bytes + off) >>
-                            lineShift;
-                if (line != changed_line) {
-                    changed_line = line;
-                    ++res.linesMerged;
-                    res.cost += _costs.mergePerLine;
-                    if (_cache)
-                        _cache->invalidateLine(line << lineShift);
-                }
-            }
+            if (!huge || chunk_changed)
+                res.cost += _costs.diffPer4k;
         }
 
         // Step 5 of Figure 2: drop the mutable copy and twin so the
         // page is read-only again and re-twins on the next write.
         _mmu.dropPrivateFrame(_pid, vpage);
+        if ((_spareSnapshots.size() + 1) * page_bytes <= spareBytes)
+            _spareSnapshots.push_back(std::move(twin.snapshot));
     }
 
     _statBytesMerged += static_cast<double>(res.bytesChanged);

@@ -15,6 +15,12 @@
  * races (Figure 3): a racy 2-byte store whose low byte matches the
  * twin merges as a 1-byte store. That behaviour is genuine here, not
  * modeled; the consistency tests rely on it.
+ *
+ * Host cost follows the lines written, not the page size: the private
+ * frame's written-line mask (PhysicalMemory::writtenLines) bounds the
+ * diff, which compares those lines a word at a time, and twin
+ * snapshots are recycled through a small free list. The simulated
+ * cost charged is still that of the paper's full-page scan.
  */
 
 #ifndef TMI_PTSB_PTSB_HH
@@ -127,8 +133,8 @@ class Ptsb
      * Diff every dirty page against its twin, merge changed bytes
      * into shared memory, drop private frames, and re-arm.
      *
-     * Huge pages are pre-filtered 4 KB at a time with memcmp before
-     * byte-level diffing (paper section 4.4).
+     * Huge pages are charged a 4 KB memcmp pre-filter per chunk
+     * before byte-level diffing (paper section 4.4).
      */
     CommitResult commit();
 
@@ -159,10 +165,22 @@ class Ptsb
   private:
     struct Twin
     {
-        std::vector<std::uint8_t> snapshot;
+        std::unique_ptr<std::uint8_t[]> snapshot;
         PPage sharedFrame = invalidPPage;
         PPage privateFrame = invalidPPage;
     };
+
+    /** Most spare snapshot buffers kept, in bytes. */
+    static constexpr Addr spareBytes = Addr{16} << 10;
+
+    /**
+     * Merge the bytes of the line at page offset @p off that differ
+     * between @p priv and @p snap into @p shared, counting them (and
+     * racy overwrites) in @p res. @return true if any byte changed.
+     */
+    static bool mergeLine(const std::uint8_t *priv,
+                          const std::uint8_t *snap, std::uint8_t *shared,
+                          Addr off, CommitResult &res);
 
     Mmu &_mmu;
     ProcessId _pid;
@@ -172,6 +190,8 @@ class Ptsb
 
     std::unordered_map<VPage, bool> _protected;
     std::unordered_map<VPage, Twin> _twins;
+    /** Snapshot buffers of committed twins, for the next faults. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> _spareSnapshots;
 
     stats::Scalar _statCommits;
     stats::Scalar _statPagesDiffed;

@@ -109,59 +109,75 @@ SimScheduler::pickNext(Cycles &runner_up) const
     return best;
 }
 
+SimThread *
+SimScheduler::schedule()
+{
+    if (_liveNonDaemon == 0) {
+        _outcome = RunOutcome::Completed;
+        return nullptr;
+    }
+    if (_abort && _abort->load(std::memory_order_relaxed)) {
+        _outcome = RunOutcome::Timeout;
+        return nullptr;
+    }
+    Cycles runner_up = 0;
+    SimThread *next = pickNext(runner_up);
+    if (!next) {
+        _outcome = RunOutcome::Deadlock;
+        return nullptr;
+    }
+    if (next->_clock > _maxCycles) {
+        _outcome = RunOutcome::Timeout;
+        return nullptr;
+    }
+    Cycles base = (runner_up == ~Cycles{0}) ? next->_clock : runner_up;
+    next->_deadline = base + _quantum;
+    next->_state = SimThread::State::Running;
+    _current = next;
+    ++_statSwitches;
+    return next;
+}
+
+void
+SimScheduler::switchFrom(SimThread *self)
+{
+    SimThread *next = schedule();
+    if (next == self)
+        return; // picked again: keep running
+    fiberSwitch(self->_ctx, next ? next->_ctx : _schedCtx);
+}
+
 RunOutcome
 SimScheduler::run(Cycles max_cycles)
 {
     TMI_ASSERT(!_running, "SimScheduler::run is not reentrant");
     _running = true;
     activeScheduler = this;
+    _maxCycles = max_cycles;
 
-    RunOutcome outcome = RunOutcome::Completed;
-    while (true) {
-        if (_liveNonDaemon == 0) {
-            outcome = RunOutcome::Completed;
-            break;
-        }
-        if (_abort && _abort->load(std::memory_order_relaxed)) {
-            outcome = RunOutcome::Timeout;
-            break;
-        }
-        Cycles runner_up = 0;
-        SimThread *next = pickNext(runner_up);
-        if (!next) {
-            outcome = RunOutcome::Deadlock;
-            break;
-        }
-        if (next->_clock > max_cycles) {
-            outcome = RunOutcome::Timeout;
-            break;
-        }
-        Cycles base = (runner_up == ~Cycles{0}) ? next->_clock
-                                                : runner_up;
-        next->_deadline = base + _quantum;
-        next->_state = SimThread::State::Running;
-        _current = next;
-        ++_statSwitches;
-        fiberSwitch(_schedCtx, next->_ctx);
-        // Fiber services: the thread switched out asking us to copy
-        // its (now suspended) stack, then be resumed immediately --
-        // no scheduling decision, no time charge.
+    // Threads hand the CPU straight to each other (switchFrom); this
+    // fiber regains control only when the run is over or a thread
+    // asks for a fiber service: it switched out asking us to copy its
+    // (now suspended) stack, then be resumed immediately -- no
+    // scheduling decision, no time charge.
+    if (SimThread *first = schedule()) {
+        fiberSwitch(_schedCtx, first->_ctx);
         while (_service != FiberService::None) {
             FiberService svc = _service;
             _service = FiberService::None;
             if (svc == FiberService::Checkpoint)
-                captureCheckpoint(*next, *_serviceCk);
+                captureCheckpoint(*_current, *_serviceCk);
             else
-                applyCheckpoint(*next, *_serviceCk);
+                applyCheckpoint(*_current, *_serviceCk);
             _serviceCk = nullptr;
-            fiberSwitch(_schedCtx, next->_ctx);
+            fiberSwitch(_schedCtx, _current->_ctx);
         }
-        _current = nullptr;
     }
+    _current = nullptr;
 
     _running = false;
     activeScheduler = nullptr;
-    return outcome;
+    return _outcome;
 }
 
 void
@@ -183,7 +199,7 @@ SimScheduler::yield()
     TMI_ASSERT(_current);
     SimThread *self = _current;
     self->_state = SimThread::State::Ready;
-    fiberSwitch(self->_ctx, _schedCtx);
+    switchFrom(self);
 }
 
 void
@@ -198,7 +214,7 @@ SimScheduler::block()
         return;
     }
     self->_state = SimThread::State::Blocked;
-    fiberSwitch(self->_ctx, _schedCtx);
+    switchFrom(self);
 }
 
 void
@@ -341,7 +357,7 @@ SimScheduler::finishCurrent()
     }
     // The stack stays allocated until the scheduler is destroyed: we
     // are still executing on it until the swap below completes.
-    fiberSwitch(self->_ctx, _schedCtx);
+    switchFrom(self);
 }
 
 void

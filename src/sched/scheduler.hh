@@ -6,7 +6,10 @@
  * cycle clocks. The scheduler always resumes the runnable thread with
  * the smallest clock and lets it run until it blocks or exceeds its
  * quantum, approximating a globally time-ordered interleaving while
- * keeping context-switch costs amortized over many accesses.
+ * keeping context-switch costs amortized over many accesses. A thread
+ * that gives up the CPU makes that decision itself and switches
+ * straight to the next thread; the scheduler's own fiber runs only to
+ * start and end a run and to perform fiber checkpoint services.
  *
  * All scheduling decisions are deterministic: ties break by thread id
  * and every source of randomness in workloads is seeded, so a given
@@ -170,7 +173,8 @@ class SimScheduler
      */
     void advance(Cycles cycles);
 
-    /** Voluntarily return to the scheduler (stay runnable). */
+    /** Give up the CPU, staying runnable; returns at once if this
+     *  thread is still the one to run. */
     void yield();
 
     /** Block the current thread until another thread wakes it. */
@@ -250,8 +254,15 @@ class SimScheduler
 
     static void trampoline(void *arg);
     void finishCurrent();
-    void switchToScheduler();
     SimThread *pickNext(Cycles &runner_up) const;
+    /**
+     * The scheduling decision: the next thread, made current with a
+     * fresh slice; or null, with _outcome set, when the run is over.
+     */
+    SimThread *schedule();
+    /** Suspend @p self (already marked Ready, Blocked or Finished)
+     *  and run the next thread, or end the run. */
+    void switchFrom(SimThread *self);
     void captureCheckpoint(SimThread &t, FiberCheckpoint &ck);
     void applyCheckpoint(SimThread &t, FiberCheckpoint &ck);
 
@@ -264,6 +275,8 @@ class SimScheduler
      *  switch, and the O(threads) scan showed up in host profiles. */
     std::size_t _liveNonDaemon = 0;
     Cycles _maxClock = 0;
+    Cycles _maxCycles = ~Cycles{0}; //!< run()'s budget
+    RunOutcome _outcome = RunOutcome::Completed;
     const std::atomic<bool> *_abort = nullptr;
     FiberService _service = FiberService::None;
     FiberCheckpoint *_serviceCk = nullptr;
